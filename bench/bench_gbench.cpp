@@ -103,6 +103,23 @@ void BM_CacheAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheAccess);
 
+// A cyclic walk of `lines` consecutive lines through the NIC L1 shape.
+// 404 lines fit: every access hits, as in posted_walk's list walk.  1008
+// lines (chaos_a2a's L1 footprint) overflow true LRU: every access misses
+// and evicts.
+void BM_CacheWalk(benchmark::State& state) {
+  const auto lines = static_cast<mem::Addr>(state.range(0));
+  mem::Cache cache(
+      {.size_bytes = 32 * 1024, .line_bytes = 64, .ways = 64});
+  mem::Addr line = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.access(line * 64, false));
+    if (++line == lines) line = 0;
+  }
+  state.counters["hit_rate"] = cache.stats().hit_rate();
+}
+BENCHMARK(BM_CacheWalk)->Arg(404)->Arg(1008);
+
 void BM_PostedListSearch(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   match::PostedList list;

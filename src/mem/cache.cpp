@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 #include "common/check.hpp"
 
@@ -14,24 +15,30 @@ Cache::Cache(const CacheConfig& config)
   ALPU_ASSERT(config.num_lines() % config.ways == 0,
               "cache lines must fill its ways evenly");
   ALPU_ASSERT(sets_ > 0, "cache has zero sets");
-  mask_words_ = (config_.ways + 63) / 64;
+  ALPU_ASSERT(config.ways <= std::numeric_limits<Way>::max(),
+              "cache ways must fit the 16-bit recency links");
+  const std::size_t lines = config.num_lines();
+  ALPU_ASSERT(lines < kEmpty, "cache lines must fit 32-bit slot ids");
   pow2_geometry_ = std::has_single_bit(config_.line_bytes) &&
                    std::has_single_bit(sets_);
   if (pow2_geometry_) {
     line_shift_ = static_cast<unsigned>(std::countr_zero(config_.line_bytes));
-    set_shift_ = static_cast<unsigned>(std::countr_zero(sets_));
   }
-  tags_.resize(sets_ * config_.ways);
-  lru_.resize(sets_ * config_.ways);
-  valid_.resize(sets_ * mask_words_);
-  dirty_.resize(sets_ * mask_words_);
+  // At most half the buckets are ever occupied, keeping probe runs short.
+  const std::size_t buckets = std::bit_ceil(2 * lines);
+  bucket_mask_ = buckets - 1;
+  bucket_shift_ = 64 - static_cast<unsigned>(std::countr_zero(buckets));
+  buckets_.assign(buckets, kEmpty);
+  lines_ = std::make_unique_for_overwrite<Addr[]>(lines);
+  links_ = std::make_unique_for_overwrite<Links[]>(lines);
+  set_state_.resize(sets_);
+  dirty_.resize((lines + 63) / 64);
 }
 
 void Cache::flush() {
-  std::fill(tags_.begin(), tags_.end(), 0);
-  std::fill(lru_.begin(), lru_.end(), 0);
-  std::fill(valid_.begin(), valid_.end(), 0);
-  std::fill(dirty_.begin(), dirty_.end(), 0);
+  // Dirty bits need no reset: every fill writes its slot's bit.
+  std::fill(buckets_.begin(), buckets_.end(), kEmpty);
+  std::fill(set_state_.begin(), set_state_.end(), SetState{});
 }
 
 }  // namespace alpu::mem

@@ -8,10 +8,9 @@
 // simulator needs timing, not contents.
 #pragma once
 
-#include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace alpu::mem {
@@ -49,14 +48,23 @@ struct CacheAccess {
 
 /// Tag-only set-associative cache with true-LRU replacement.
 ///
-/// Storage is struct-of-arrays: the hit path — the innermost loop of
-/// every modelled load and store, run once per queue entry walked — is
-/// an early-exit scan of the set's contiguous 8-byte tag plane checked
-/// against a per-set validity bitmask, instead of chasing padded line
-/// structs at three times the memory stride.
-/// Replacement semantics are bit-identical to the padded-struct layout
-/// (same LRU clocking, same victim choice including tie-breaks), so no
-/// modelled timing moves.
+/// Every operation is O(1) in the associativity, so the NIC's 64-way L1
+/// costs what the host's 2-way L1 does:
+///  - Tag index.  An open-addressed, linear-probing table maps a line
+///    number to its slot (set * ways + way).  Buckets hold a 4-byte slot
+///    id; the key is checked against the per-slot line array.  Erase
+///    uses backward shift, so there are no tombstones.
+///  - Recency list.  Each set keeps a circular doubly-linked list of its
+///    valid ways (`uint16_t` links) with the MRU way at its head, so the
+///    LRU way is the head's predecessor.  A hit moves its way to the
+///    head; a miss in a full set evicts the tail and makes it the head.
+///  - Valid prefix.  A fill always takes the lowest invalid way and only
+///    flush() invalidates, so a set's valid ways are exactly
+///    [0, fill count) and no validity bitmask is needed.
+///  - Dirty bits are a bitmask over slots.
+/// Replacement is true LRU, bit-identical to stamping each way with a
+/// global access clock and evicting the smallest stamp, so no modelled
+/// timing depends on the layout.
 class Cache {
  public:
   explicit Cache(const CacheConfig& config);
@@ -78,133 +86,169 @@ class Cache {
   void reset_stats() { stats_ = CacheStats{}; }
 
  private:
+  using Slot = std::uint32_t;
+  using Way = std::uint16_t;
+  static constexpr Slot kEmpty = ~Slot{0};
+
+  struct Links {
+    Way prev;  ///< next more recently used way; the MRU way's is the LRU
+    Way next;  ///< next less recently used way; the LRU way's is the MRU
+  };
+  struct SetState {
+    Way mru = 0;   ///< head of the recency list; meaningless when fill == 0
+    Way fill = 0;  ///< valid ways, always [0, fill)
+  };
+
   // Every practical geometry (Table III and the benchmark grids) has
   // power-of-two line size and set count, so the per-access index math
-  // — run four times per modelled load on the hot path — reduces to
-  // shifts and masks; the division fallback keeps arbitrary test
-  // geometries (e.g. 66-way property-test shapes) exact.
-  std::size_t set_index(Addr addr) const {
-    if (pow2_geometry_) {
-      return static_cast<std::size_t>(addr >> line_shift_) & (sets_ - 1);
-    }
-    return (addr / config_.line_bytes) % sets_;
+  // reduces to shifts and masks; the division fallback keeps arbitrary
+  // test geometries (e.g. 3 sets x 66 ways, 96-byte lines) exact.
+  Addr line_of(Addr addr) const {
+    if (pow2_geometry_) return addr >> line_shift_;
+    return addr / config_.line_bytes;
   }
-  Addr tag_of(Addr addr) const {
-    if (pow2_geometry_) return addr >> (line_shift_ + set_shift_);
-    return addr / config_.line_bytes / sets_;
+  std::size_t set_of(Addr line) const {
+    if (pow2_geometry_) return static_cast<std::size_t>(line) & (sets_ - 1);
+    return static_cast<std::size_t>(line % sets_);
   }
-  /// Way holding `tag` valid in `set`, or -1.  Early-exit scan of the
-  /// set's dense tag plane.
-  int find_way(std::size_t set, Addr tag) const;
-  /// Lowest invalid way of `set`, or -1 when the set is full.
-  int first_invalid_way(std::size_t set) const;
-  /// Valid bits of ways [word*64, word*64+64) of `set`.
-  std::uint64_t word_mask(std::size_t word) const {
-    const std::size_t first = word * 64;
-    const std::size_t count = std::min<std::size_t>(64, config_.ways - first);
-    return count == 64 ? ~std::uint64_t{0}
-                       : (std::uint64_t{1} << count) - 1;
+  /// Home bucket of `line`: Fibonacci hashing spreads strided and
+  /// sequential line numbers evenly.
+  std::size_t home(Addr line) const {
+    return static_cast<std::size_t>((line * 0x9E3779B97F4A7C15ull) >>
+                                    bucket_shift_);
   }
+  /// Bucket holding `line`, or the empty bucket ending its probe run.
+  std::size_t probe(Addr line) const;
+  /// Remove `slot` (whose line is still in lines_) from the index.
+  void erase_slot(Slot slot);
+  /// Make `way` of `set` the MRU way.
+  void touch(std::size_t set, Way way);
+  /// Splice `way`, not yet in the non-empty list of `s`, in as its MRU.
+  static void push_mru(Links* links, SetState& s, Way way);
 
   CacheConfig config_;
   std::size_t sets_;
-  std::size_t mask_words_ = 1;       ///< 64-bit words per per-set bitmask
   bool pow2_geometry_ = false;  ///< line_bytes and sets_ both powers of two
   unsigned line_shift_ = 0;     ///< log2(line_bytes) when pow2_geometry_
-  unsigned set_shift_ = 0;      ///< log2(sets_) when pow2_geometry_
-  std::vector<Addr> tags_;           ///< sets_ * ways, set-major
-  std::vector<std::uint64_t> lru_;   ///< sets_ * ways, set-major
-  std::vector<std::uint64_t> valid_;  ///< sets_ * mask_words_ way bitmasks
-  std::vector<std::uint64_t> dirty_;  ///< sets_ * mask_words_ way bitmasks
-  std::uint64_t lru_clock_ = 0;
+  unsigned bucket_shift_ = 0;   ///< 64 - log2(buckets_.size())
+  std::size_t bucket_mask_ = 0;     ///< buckets_.size() - 1
+  std::vector<Slot> buckets_;       ///< tag index, >= 2 buckets per line
+  // Per-slot planes (sets_ * ways, set-major), left uninitialised: only
+  // valid slots are ever read, and a fill writes its slot first.  Large
+  // host L2s are mostly never filled, so their pages are never touched.
+  std::unique_ptr<Addr[]> lines_;   ///< line number held by each slot
+  std::unique_ptr<Links[]> links_;  ///< recency links of each slot
+  std::vector<SetState> set_state_;  ///< sets_
+  std::vector<std::uint64_t> dirty_;  ///< one bit per slot
   CacheStats stats_;
 };
 
 // ---- inline implementations (hot path) --------------------------------
 
-inline int Cache::find_way(std::size_t set, Addr tag) const {
-  // Early-exit scan of the set's contiguous tag plane.  At most one
-  // valid way holds a given tag, so the first valid match is the hit.
-  // Invalid slots are filtered through the validity bitmask only after
-  // their (stale) tag happens to compare equal — the common iteration
-  // touches just the 8-byte tag stride.
-  const Addr* tags = &tags_[set * config_.ways];
-  const std::uint64_t* valid = &valid_[set * mask_words_];
-  for (std::size_t w = 0; w < config_.ways; ++w) {
-    if (tags[w] == tag && ((valid[w >> 6] >> (w & 63)) & 1) != 0) {
-      return static_cast<int>(w);
-    }
+inline std::size_t Cache::probe(Addr line) const {
+  std::size_t b = home(line);
+  while (buckets_[b] != kEmpty && lines_[buckets_[b]] != line) {
+    b = (b + 1) & bucket_mask_;
   }
-  return -1;
+  return b;
 }
 
-inline int Cache::first_invalid_way(std::size_t set) const {
-  const std::uint64_t* valid = &valid_[set * mask_words_];
-  for (std::size_t word = 0; word < mask_words_; ++word) {
-    const std::uint64_t invalid = ~valid[word] & word_mask(word);
-    if (invalid != 0) {
-      return static_cast<int>(
-          word * 64 + static_cast<std::size_t>(std::countr_zero(invalid)));
+inline void Cache::erase_slot(Slot slot) {
+  std::size_t hole = home(lines_[slot]);
+  while (buckets_[hole] != slot) hole = (hole + 1) & bucket_mask_;
+  // Backward shift: pull each later entry of the run into the hole
+  // unless its home lies cyclically in (hole, b], where it must stay.
+  for (std::size_t b = (hole + 1) & bucket_mask_; buckets_[b] != kEmpty;
+       b = (b + 1) & bucket_mask_) {
+    const std::size_t h = home(lines_[buckets_[b]]);
+    if (((b - h) & bucket_mask_) >= ((b - hole) & bucket_mask_)) {
+      buckets_[hole] = buckets_[b];
+      hole = b;
     }
   }
-  return -1;
+  buckets_[hole] = kEmpty;
+}
+
+inline void Cache::push_mru(Links* links, SetState& s, Way way) {
+  const Way tail = links[s.mru].prev;
+  links[way] = Links{.prev = tail, .next = s.mru};
+  links[tail].next = way;
+  links[s.mru].prev = way;
+  s.mru = way;
+}
+
+inline void Cache::touch(std::size_t set, Way way) {
+  SetState& s = set_state_[set];
+  if (way == s.mru) return;
+  Links* links = &links_[set * config_.ways];
+  if (way == links[s.mru].prev) {
+    // The LRU way already sits just before the head: rotate.
+    s.mru = way;
+    return;
+  }
+  links[links[way].prev].next = links[way].next;
+  links[links[way].next].prev = links[way].prev;
+  push_mru(links, s, way);
 }
 
 inline CacheAccess Cache::access(Addr addr, bool is_write) {
   ++stats_.accesses;
-  const std::size_t set = set_index(addr);
-  const Addr tag = tag_of(addr);
+  const Addr line = line_of(addr);
+  const std::size_t set = set_of(line);
   const std::size_t base = set * config_.ways;
-  const std::size_t mask_base = set * mask_words_;
+  const std::size_t bucket = probe(line);
 
   // Hit path.
-  if (const int hit = find_way(set, tag); hit >= 0) {
-    const auto w = static_cast<std::size_t>(hit);
+  if (buckets_[bucket] != kEmpty) {
+    const Slot slot = buckets_[bucket];
     ++stats_.hits;
-    lru_[base + w] = ++lru_clock_;
-    if (is_write) dirty_[mask_base + w / 64] |= std::uint64_t{1} << (w % 64);
+    touch(set, static_cast<Way>(slot - base));
+    if (is_write) dirty_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
     return CacheAccess{.hit = true, .evicted_dirty = false};
   }
 
   // Miss: allocate, preferring the lowest invalid way, else the
-  // true-LRU victim (first way among equal-minimum LRU stamps — the
-  // same tie-break as scanning ways in order).
+  // true-LRU victim at the tail of the recency list.
   ++stats_.misses;
-  std::size_t victim;
-  bool victim_valid = false;
-  if (const int invalid = first_invalid_way(set); invalid >= 0) {
-    victim = static_cast<std::size_t>(invalid);
-  } else {
-    victim = 0;
-    const std::uint64_t* lru = &lru_[base];
-    for (std::size_t w = 1; w < config_.ways; ++w) {
-      if (lru[w] < lru[victim]) victim = w;
-    }
-    victim_valid = true;
-  }
   CacheAccess out{.hit = false, .evicted_dirty = false};
-  const std::size_t word = mask_base + victim / 64;
-  const std::uint64_t bit = std::uint64_t{1} << (victim % 64);
-  if (victim_valid) {
+  SetState& s = set_state_[set];
+  Slot slot;
+  if (s.fill < config_.ways) {
+    const Way way = s.fill++;
+    slot = static_cast<Slot>(base + way);
+    lines_[slot] = line;
+    buckets_[bucket] = slot;
+    if (way == 0) {
+      links_[base] = Links{.prev = 0, .next = 0};
+      s.mru = 0;
+    } else {
+      push_mru(&links_[base], s, way);
+    }
+  } else {
+    const Way victim = links_[base + s.mru].prev;
+    slot = static_cast<Slot>(base + victim);
     ++stats_.evictions;
-    if (dirty_[word] & bit) {
+    if ((dirty_[slot >> 6] >> (slot & 63)) & 1) {
       ++stats_.writebacks;
       out.evicted_dirty = true;
     }
+    // Erasing may shift the probe run, so the new line re-probes.
+    erase_slot(slot);
+    lines_[slot] = line;
+    buckets_[probe(line)] = slot;
+    s.mru = victim;
   }
-  valid_[word] |= bit;
-  tags_[base + victim] = tag;
-  lru_[base + victim] = ++lru_clock_;
+  const std::uint64_t bit = std::uint64_t{1} << (slot & 63);
   if (is_write) {
-    dirty_[word] |= bit;
+    dirty_[slot >> 6] |= bit;
   } else {
-    dirty_[word] &= ~bit;
+    dirty_[slot >> 6] &= ~bit;
   }
   return out;
 }
 
 inline bool Cache::contains(Addr addr) const {
-  return find_way(set_index(addr), tag_of(addr)) >= 0;
+  return buckets_[probe(line_of(addr))] != kEmpty;
 }
 
 }  // namespace alpu::mem

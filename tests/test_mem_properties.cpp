@@ -16,32 +16,58 @@
 namespace alpu::mem {
 namespace {
 
-/// Reference: per-set LRU lists, textbook formulation.
+/// Reference: per-set LRU lists, textbook formulation, with a dirty
+/// flag per resident line (write-allocate, write-back).
 class ReferenceCache {
  public:
   explicit ReferenceCache(const CacheConfig& config)
       : config_(config), sets_(config.num_sets()) {}
 
-  bool access(Addr addr) {
-    const std::size_t set =
-        (addr / config_.line_bytes) % config_.num_sets();
-    const Addr tag = addr / config_.line_bytes / config_.num_sets();
-    auto& lru = sets_[set];
+  CacheAccess access(Addr addr, bool is_write) {
+    auto& lru = sets_[set_of(addr)];
+    const Addr tag = tag_of(addr);
     for (auto it = lru.begin(); it != lru.end(); ++it) {
-      if (*it == tag) {
+      if (it->tag == tag) {
+        const bool dirty = it->dirty || is_write;
         lru.erase(it);
-        lru.push_front(tag);  // most recently used
-        return true;
+        lru.push_front({tag, dirty});  // most recently used
+        return {.hit = true, .evicted_dirty = false};
       }
     }
-    lru.push_front(tag);
-    if (lru.size() > config_.ways) lru.pop_back();  // evict LRU
+    lru.push_front({tag, is_write});
+    CacheAccess out{.hit = false, .evicted_dirty = false};
+    if (lru.size() > config_.ways) {  // evict LRU
+      out.evicted_dirty = lru.back().dirty;
+      lru.pop_back();
+    }
+    return out;
+  }
+
+  bool contains(Addr addr) const {
+    for (const Line& l : sets_[set_of(addr)]) {
+      if (l.tag == tag_of(addr)) return true;
+    }
     return false;
   }
 
+  void flush() {
+    for (auto& lru : sets_) lru.clear();
+  }
+
  private:
+  struct Line {
+    Addr tag;
+    bool dirty;
+  };
+  std::size_t set_of(Addr addr) const {
+    return (addr / config_.line_bytes) % config_.num_sets();
+  }
+  Addr tag_of(Addr addr) const {
+    return addr / config_.line_bytes / config_.num_sets();
+  }
+
   CacheConfig config_;
-  std::vector<std::list<Addr>> sets_;
+  std::vector<std::list<Line>> sets_;
 };
 
 class CacheGeometry
@@ -59,9 +85,14 @@ TEST_P(CacheGeometry, HitMissStreamMatchesReferenceLru) {
   common::Xoshiro256 rng(seed);
 
   // Mixed access pattern: streaming runs (queue walks), hot-set reuse
-  // (firmware structures), and random scatter.
+  // (firmware structures), and random scatter, with one flush midway.
   Addr stream = 0;
+  Addr prev = 0;
   for (int i = 0; i < 20'000; ++i) {
+    if (i == 12'345) {
+      cache.flush();
+      reference.flush();
+    }
     Addr addr;
     const double roll = rng.uniform01();
     if (roll < 0.4) {
@@ -73,9 +104,18 @@ TEST_P(CacheGeometry, HitMissStreamMatchesReferenceLru) {
     } else {
       addr = rng.below(1 << 22);
     }
-    const bool got = cache.access(addr, rng.chance(0.3)).hit;
-    const bool want = reference.access(addr);
-    ASSERT_EQ(got, want) << "access " << i << " addr " << addr;
+    const bool is_write = rng.chance(0.3);
+    const CacheAccess got = cache.access(addr, is_write);
+    const CacheAccess want = reference.access(addr, is_write);
+    ASSERT_EQ(got.hit, want.hit) << "access " << i << " addr " << addr;
+    ASSERT_EQ(got.evicted_dirty, want.evicted_dirty)
+        << "access " << i << " addr " << addr;
+    // The line just filled is resident; the previous one unless this
+    // access evicted it.
+    ASSERT_TRUE(cache.contains(addr));
+    ASSERT_EQ(cache.contains(prev), reference.contains(prev))
+        << "access " << i << " probe " << prev;
+    prev = addr;
   }
   EXPECT_EQ(cache.stats().hits + cache.stats().misses,
             cache.stats().accesses);
@@ -90,7 +130,12 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(32, 64, 64, 44),  // the NIC L1 shape
         std::make_tuple(64, 2, 64, 55),   // the host L1 shape
         std::make_tuple(8, 128, 64, 66),  // fully associative
-        std::make_tuple(2, 2, 128, 77)));  // wide lines
+        std::make_tuple(2, 2, 128, 77),   // wide lines
+        // Non-power-of-two shapes (whole-KB sizes, hence the wide lines
+        // under the odd way counts).
+        std::make_tuple(99, 66, 512, 88),  // 3 sets x 66 ways
+        std::make_tuple(6, 4, 96, 99),     // 96-byte lines
+        std::make_tuple(3, 6, 512, 111)));  // 1 set x 6 ways
 
 TEST(CacheProperties, DirtyBitSurvivesLruReordering) {
   // Write a line, keep it warm with reads while filling the set, then
