@@ -27,10 +27,10 @@
 // specification, and `match_tree()` evaluates the same answer through an
 // explicit block-structured priority-mux reduction mirroring the RTL
 // (pairwise muxes within blocks, then across blocks), using fixed
-// per-instance scratch buffers (no per-probe allocation).  Tests assert
-// the two agree on all inputs — the hardware-fidelity check — and
-// `reference.hpp` retains the original cell-at-a-time implementation as
-// the differential-testing oracle.
+// per-instance scratch buffers (no per-probe allocation).  The model
+// checker (src/check/checker.hpp) asserts both agree with the list
+// specification check::ListSpec after every step, both in its exhaustive
+// enumeration and in the randomized differential fuzzes it replays.
 #pragma once
 
 #include <atomic>
@@ -149,7 +149,6 @@ class AlpuArray {
   /// is inserted; without this call the array has no parity state and
   /// the probe path is byte-identical to the fault-free build.
   void install_fault_model(const SeuConfig& config, std::uint64_t stream);
-  bool fault_model_installed() const { return fault_ != nullptr; }
 
   /// Sticky fault latch: true from the first failed parity check until
   /// reset().  While quarantined, probes and sweeps return misses and

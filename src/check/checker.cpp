@@ -1,5 +1,7 @@
 #include "check/checker.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstdarg>
 #include <cstdio>
 #include <optional>
@@ -9,7 +11,6 @@
 #include "alpu/alpu.hpp"
 #include "alpu/array.hpp"
 #include "alpu/pipelined.hpp"
-#include "alpu/reference.hpp"
 #include "common/check.hpp"
 #include "sim/engine.hpp"
 
@@ -81,8 +82,7 @@ bool is_protocol(ImplKind impl) {
 }
 
 /// Implementations carrying the transient-fault model (parity planes +
-/// corrupt_for_test).  The reference oracle and the stage-level RTL
-/// model deliberately have none.
+/// corrupt_for_test).  The stage-level RTL model deliberately has none.
 bool supports_faults(ImplKind impl) {
   return impl == ImplKind::kArray || impl == ImplKind::kTransaction;
 }
@@ -140,26 +140,39 @@ constexpr Op kCorruptDataBit{OpKind::kCorrupt, /*bits=*/0, /*mask=*/0,
 constexpr Op kCorruptValidBit{OpKind::kCorrupt, /*bits=*/3, /*mask=*/1,
                               /*cookie=*/0, 0};
 
-// ---- datapath tier: AlpuArray / ReferenceAlpuArray vs ListSpec ------------
+// ---- datapath tier: AlpuArray vs ListSpec ----------------------------------
 
-/// Replay `seq` against a fresh implementation and the spec, comparing
-/// every observable after every step.  Cookies and probe sequence
-/// numbers are assigned in place from the op's position, so a failing
-/// trace prints with the identities it actually ran with.  Returns the
-/// divergence description and sets `*fail_at` to the failing step.
-template <typename Impl>
+/// Why the array's answer `got` on one match path disagrees with the
+/// spec's `want`, or nothing when they agree.
+std::optional<std::string> disagreement(const char* path,
+                                        const hw::ArrayMatch& got,
+                                        const SpecMatch& want) {
+  if (got.hit == want.hit &&
+      (!want.hit ||
+       (got.location == want.index && got.cookie == want.cookie))) {
+    return std::nullopt;
+  }
+  return strf("%s: hit=%d loc=%zu cookie=%u, spec says hit=%d index=%zu "
+              "cookie=%u",
+              path, got.hit, got.location, got.cookie, want.hit, want.index,
+              want.cookie);
+}
+
+/// Replay `seq` against a fresh AlpuArray and the spec, comparing every
+/// observable after every step.  Cookies and probe sequence numbers are
+/// assigned in place from the op's position, so a failing trace prints
+/// with the identities it actually ran with.  Returns the divergence
+/// description and sets `*fail_at` to the failing step.
 std::optional<std::string> replay_datapath(AlpuFlavor flavor,
                                            const CheckOptions& opt,
                                            std::vector<Op>& seq,
                                            std::size_t* fail_at) {
   ListSpec spec(flavor, opt.cells, match::kFullMask);
-  Impl impl(flavor, opt.cells, opt.block);
-  if constexpr (std::is_same_v<Impl, hw::AlpuArray>) {
-    if (opt.faults) {
-      hw::SeuConfig seu;
-      seu.force_parity = true;  // detection only; the checker injects
-      impl.install_fault_model(seu, /*stream=*/0);
-    }
+  hw::AlpuArray impl(flavor, opt.cells, opt.block);
+  if (opt.faults) {
+    hw::SeuConfig seu;
+    seu.force_parity = true;  // detection only; the checker injects
+    impl.install_fault_model(seu, /*stream=*/0);
   }
   Cookie next_cookie = 1;
   std::uint64_t next_seq = 1;
@@ -167,6 +180,7 @@ std::optional<std::string> replay_datapath(AlpuFlavor flavor,
   // untrustworthy, so probes must all miss (quarantine) and the state
   // comparison is suspended until the rebuild.
   bool corrupted = false;
+  std::uint64_t corrupts = 0;  ///< kCorrupt ops replayed so far
 
   for (std::size_t i = 0; i < seq.size(); ++i) {
     Op& op = seq[i];
@@ -186,66 +200,58 @@ std::optional<std::string> replay_datapath(AlpuFlavor flavor,
         const hw::Probe probe{op.bits, op.mask, op.seq};
         if (corrupted) {
           // The parity verify at the head of every search must refuse
-          // to answer from corrupted planes: all three entry points
-          // report a miss while quarantined, whatever is stored.
-          const hw::ArrayMatch linear = impl.match(probe);
-          const hw::ArrayMatch tree = impl.match_tree(probe);
-          const hw::ArrayMatch del = impl.match_and_delete(probe);
-          if (linear.hit || tree.hit || del.hit) {
-            return strf(
-                "quarantined array answered a probe: match hit=%d "
-                "match_tree hit=%d match_and_delete hit=%d",
-                linear.hit, tree.hit, del.hit);
+          // to answer from corrupted planes: all three match entry
+          // points report a miss and a sweep with the probe as its
+          // selector removes nothing while quarantined, whatever is
+          // stored.
+          for (const auto& [path, got] :
+               {std::pair{"match()", impl.match(probe)},
+                std::pair{"match_tree()", impl.match_tree(probe)},
+                std::pair{"match_and_delete()",
+                          impl.match_and_delete(probe)}}) {
+            if (auto d = disagreement(path, got, SpecMatch{})) return d;
+          }
+          if (const std::size_t n = impl.invalidate_matching(probe); n != 0) {
+            return strf("quarantined sweep removed %zu entries", n);
           }
           break;
         }
+        // The two pure match paths, then the deleting one.
         const SpecMatch want = spec.match(op.bits, op.mask);
-        const hw::ArrayMatch linear = impl.match(probe);
-        const hw::ArrayMatch tree = impl.match_tree(probe);
-        if (linear.hit != want.hit ||
-            (want.hit && (linear.location != want.index ||
-                          linear.cookie != want.cookie))) {
-          return strf(
-              "match(): hit=%d loc=%zu cookie=%u, spec says hit=%d "
-              "index=%zu cookie=%u",
-              linear.hit, linear.location, linear.cookie, want.hit,
-              want.index, want.cookie);
-        }
-        if (tree.hit != linear.hit || tree.location != linear.location ||
-            tree.cookie != linear.cookie) {
-          return strf(
-              "match_tree() disagrees with match(): tree hit=%d loc=%zu "
-              "cookie=%u vs linear hit=%d loc=%zu cookie=%u",
-              tree.hit, tree.location, tree.cookie, linear.hit,
-              linear.location, linear.cookie);
+        for (const auto& [path, got] :
+             {std::pair{"match()", impl.match(probe)},
+              std::pair{"match_tree()", impl.match_tree(probe)}}) {
+          if (auto d = disagreement(path, got, want)) return d;
         }
         const hw::ArrayMatch del = impl.match_and_delete(probe);
-        const SpecMatch sdel = spec.match_and_delete(op.bits, op.mask);
-        if (del.hit != sdel.hit ||
-            (sdel.hit &&
-             (del.location != sdel.index || del.cookie != sdel.cookie))) {
-          return strf(
-              "match_and_delete(): hit=%d loc=%zu cookie=%u, spec says "
-              "hit=%d index=%zu cookie=%u",
-              del.hit, del.location, del.cookie, sdel.hit, sdel.index,
-              sdel.cookie);
+        if (auto d = disagreement("match_and_delete()", del,
+                                  spec.match_and_delete(op.bits, op.mask))) {
+          return d;
         }
         break;
       }
       case OpKind::kReset:
         impl.reset();
         spec.reset();
-        corrupted = false;  // reset reheals parity and lifts quarantine
+        corrupted = false;
+        // RESET is the recovery command: parity reheals and the
+        // quarantine lifts.
+        if (opt.faults && (!impl.parity_ok() || impl.quarantined())) {
+          return strf("reset left parity_ok=%d quarantined=%d",
+                      impl.parity_ok(), impl.quarantined());
+        }
         break;
       case OpKind::kCorrupt:
-        if constexpr (std::is_same_v<Impl, hw::AlpuArray>) {
-          impl.corrupt_for_test(static_cast<unsigned>(op.bits),
-                                static_cast<std::size_t>(op.mask),
-                                op.cookie);
-          corrupted = true;
-        } else {
-          ALPU_CHECK_FAIL("corrupt op on an implementation without a "
-                          "fault model");
+        impl.corrupt_for_test(static_cast<unsigned>(op.bits),
+                              static_cast<std::size_t>(op.mask), op.cookie);
+        corrupted = true;
+        ++corrupts;
+        // A single flipped bit in any plane, live cell or padded tail,
+        // must be detected at once and latch the quarantine.
+        if (impl.parity_ok() || !impl.quarantined()) {
+          return strf("corruption went undetected: parity_ok=%d "
+                      "quarantined=%d",
+                      impl.parity_ok(), impl.quarantined());
         }
         break;
       case OpKind::kSweep: {
@@ -263,14 +269,30 @@ std::optional<std::string> replay_datapath(AlpuFlavor flavor,
         ALPU_CHECK_FAIL("protocol-only op in a datapath sequence");
     }
 
-    // Full post-step state comparison: occupancy and every live cell.
-    // Suspended while quarantined: the planes (validity included, so
-    // occupancy too) are corrupted by construction, and the recovery
-    // contract only promises equivalence again after the rebuild.
+    // Exactly one detection per flip, and none invented: the checker's
+    // kCorrupt is the only corruption source (no injector runs).
+    if (opt.faults) {
+      const hw::SeuStats seu = impl.seu_stats();
+      if (seu.parity_faults != corrupts || seu.seu_injected != 0) {
+        return strf("parity_faults=%llu seu_injected=%llu after %llu "
+                    "corrupt ops",
+                    static_cast<unsigned long long>(seu.parity_faults),
+                    static_cast<unsigned long long>(seu.seu_injected),
+                    static_cast<unsigned long long>(corrupts));
+      }
+    }
+
+    // Full post-step state comparison: occupancy, fullness, every live
+    // cell, and the invalid tail.  Suspended while quarantined: the
+    // planes (validity included, so occupancy too) are corrupted by
+    // construction, and the recovery contract only promises equivalence
+    // again after the rebuild.
     if (corrupted) continue;
-    if (impl.occupancy() != spec.size()) {
-      return strf("occupancy %zu, spec says %zu", impl.occupancy(),
-                  spec.size());
+    if (impl.occupancy() != spec.size() || impl.full() != spec.full() ||
+        impl.free_slots() != spec.capacity() - spec.size()) {
+      return strf("occupancy %zu full=%d free=%zu, spec says %zu full=%d",
+                  impl.occupancy(), impl.full(), impl.free_slots(),
+                  spec.size(), spec.full());
     }
     for (std::size_t j = 0; j < spec.size(); ++j) {
       const hw::Cell cell = impl.cell(j);
@@ -284,6 +306,11 @@ std::optional<std::string> replay_datapath(AlpuFlavor flavor,
             static_cast<unsigned long long>(cell.mask), cell.cookie,
             cell.valid, static_cast<unsigned long long>(want.bits),
             static_cast<unsigned long long>(want.mask), want.cookie);
+      }
+    }
+    for (std::size_t j = spec.size(); j < spec.capacity(); ++j) {
+      if (impl.cell(j).valid) {
+        return strf("cell %zu is valid beyond occupancy %zu", j, spec.size());
       }
     }
   }
@@ -480,9 +507,7 @@ class Checker {
         alphabet_(make_alphabet(flavor)), protocol_(is_protocol(impl)) {}
 
   CheckResult run() {
-    CheckResult result;
-    result.impl = impl_;
-    result.flavor = flavor_;
+    CheckResult result = empty_result();
 
     // Iterative deepening: every length-(d-1) sequence was already
     // checked at the previous depth, so the first failure found here is
@@ -502,7 +527,22 @@ class Checker {
     return result;
   }
 
+  /// Replay one given sequence; shrink it on failure.
+  CheckResult run_sequence(std::vector<Op> seq) {
+    CheckResult result = empty_result();
+    result.ok = replay(seq, result);
+    if (!result.ok) shrink(result);
+    return result;
+  }
+
  private:
+  CheckResult empty_result() const {
+    CheckResult result;
+    result.impl = impl_;
+    result.flavor = flavor_;
+    return result;
+  }
+
   /// Ops legal from the current mode.  Datapath sequences have no
   /// modes; the protocol alphabet honours Figure 3 (insert only inside
   /// insert mode; reset/sweep only outside; PipelinedAlpu discards
@@ -588,10 +628,7 @@ class Checker {
                                          std::size_t* fail_at) const {
     switch (impl_) {
       case ImplKind::kArray:
-        return replay_datapath<hw::AlpuArray>(flavor_, opt_, seq, fail_at);
-      case ImplKind::kReference:
-        return replay_datapath<hw::ReferenceAlpuArray>(flavor_, opt_, seq,
-                                                       fail_at);
+        return replay_datapath(flavor_, opt_, seq, fail_at);
       case ImplKind::kTransaction:
         return replay_protocol<hw::Alpu>(flavor_, opt_, seq, fail_at);
       case ImplKind::kPipelined:
@@ -618,30 +655,38 @@ class Checker {
     return false;
   }
 
-  /// Greedy delta shrink: repeatedly drop any single op whose removal
+  /// Greedy delta shrink: repeatedly drop any run of ops whose removal
   /// (a) keeps the sequence protocol-legal and (b) still reproduces a
-  /// divergence.  Iterative deepening already gives length-minimality
+  /// divergence, until no single op can go.  Runs start at half the
+  /// trace and halve, so a long fuzz trace sheds its irrelevant bulk in
+  /// a few replays.  Iterative deepening already gives length-minimality
   /// within the enumeration order; this removes incidental prefix ops
   /// (e.g. probes that matched nothing) that deepening cannot.
   void shrink(CheckResult& result) const {
+    std::vector<Op>& trace = result.counterexample;
     bool changed = true;
     while (changed) {
       changed = false;
-      for (std::size_t i = 0; i < result.counterexample.size(); ++i) {
-        std::vector<Op> candidate = result.counterexample;
-        candidate.erase(candidate.begin() + static_cast<std::ptrdiff_t>(i));
-        if (candidate.empty() || !sequence_legal(candidate, protocol_)) {
-          continue;
-        }
-        std::size_t fail_at = 0;
-        const std::optional<std::string> divergence =
-            replay_once(candidate, &fail_at);
-        if (divergence.has_value()) {
+      for (std::size_t run = std::bit_floor(std::max<std::size_t>(
+               trace.size() / 2, 1));
+           run > 0; run /= 2) {
+        for (std::size_t i = 0; i + run <= trace.size();) {
+          std::vector<Op> candidate = trace;
+          const auto first = candidate.begin() + static_cast<std::ptrdiff_t>(i);
+          candidate.erase(first, first + static_cast<std::ptrdiff_t>(run));
+          std::size_t fail_at = 0;
+          std::optional<std::string> divergence;
+          if (!candidate.empty() && sequence_legal(candidate, protocol_)) {
+            divergence = replay_once(candidate, &fail_at);
+          }
+          if (!divergence.has_value()) {
+            i += run;
+            continue;
+          }
           candidate.resize(fail_at + 1);
-          result.counterexample = std::move(candidate);
+          trace = std::move(candidate);
           result.divergence = *divergence;
           changed = true;
-          break;
         }
       }
     }
@@ -654,14 +699,18 @@ class Checker {
   bool protocol_;
 };
 
+void assert_shape(const CheckOptions& options) {
+  ALPU_ASSERT(options.cells > 0 && options.block > 0 &&
+                  options.cells % options.block == 0,
+              "cells must be a positive multiple of block");
+}
+
 }  // namespace
 
 const char* to_string(ImplKind impl) {
   switch (impl) {
     case ImplKind::kArray:
       return "array";
-    case ImplKind::kReference:
-      return "reference";
     case ImplKind::kTransaction:
       return "alpu";
     case ImplKind::kPipelined:
@@ -677,10 +726,22 @@ const char* to_string(AlpuFlavor flavor) {
 CheckResult check_impl(ImplKind impl, AlpuFlavor flavor,
                        const CheckOptions& options) {
   ALPU_ASSERT(options.depth > 0, "check depth must be at least 1");
-  ALPU_ASSERT(options.cells > 0 && options.block > 0 &&
-                  options.cells % options.block == 0,
-              "cells must be a positive multiple of block");
+  assert_shape(options);
   return Checker(impl, flavor, options).run();
+}
+
+CheckResult check_sequence(ImplKind impl, AlpuFlavor flavor,
+                           const CheckOptions& options, std::vector<Op> seq) {
+  assert_shape(options);
+  ALPU_ASSERT(sequence_legal(seq, is_protocol(impl)),
+              "check_sequence given a protocol-illegal sequence");
+  ALPU_ASSERT((options.faults && supports_faults(impl)) ||
+                  std::none_of(seq.begin(), seq.end(),
+                               [](const Op& op) {
+                                 return op.kind == OpKind::kCorrupt;
+                               }),
+              "corrupt op without a fault model to detect it");
+  return Checker(impl, flavor, options).run_sequence(std::move(seq));
 }
 
 std::string format_counterexample(const CheckResult& result) {

@@ -5,12 +5,16 @@
 // hypothesis: list-management bugs — compaction off-by-ones, held-probe
 // ordering, mode-transition races — all manifest within a handful of
 // cells and operations) and cross-checks each implementation against
-// the executable specification in spec.hpp after every step:
+// the executable specification in spec.hpp after every step.  This is
+// the only place an ALPU implementation is compared against the spec:
+// the randomized differential fuzzes hand their generated sequences to
+// check_sequence() and go through the same replay.
 //
-//   datapath tier    hw::AlpuArray and hw::ReferenceAlpuArray against
-//                    ListSpec — every insert result, probe answer (both
-//                    the linear scan and the priority-mux tree), sweep
-//                    count, and the full post-step cell state;
+//   datapath tier    hw::AlpuArray against ListSpec — every insert
+//                    result, probe answer (both the linear scan and the
+//                    priority-mux tree), sweep count, the full post-step
+//                    cell state (live cells and the invalid tail), and,
+//                    with faults on, parity detection and recovery;
 //
 //   protocol tier    hw::Alpu and hw::PipelinedAlpu against
 //                    ProtocolSpec — each op is pushed, the simulation
@@ -32,12 +36,12 @@
 
 namespace alpu::check {
 
-/// Which implementation a check run targets.
+/// Which implementation a check run targets.  The numeric values are
+/// stable (they show up in parameterized test names).
 enum class ImplKind : std::uint8_t {
-  kArray,        ///< hw::AlpuArray (SoA production engine) vs ListSpec
-  kReference,    ///< hw::ReferenceAlpuArray (oracle) vs ListSpec
-  kTransaction,  ///< hw::Alpu (transaction-level) vs ProtocolSpec
-  kPipelined,    ///< hw::PipelinedAlpu (stage-level RTL) vs ProtocolSpec
+  kArray = 0,        ///< hw::AlpuArray (SoA production engine) vs ListSpec
+  kTransaction = 2,  ///< hw::Alpu (transaction-level) vs ProtocolSpec
+  kPipelined = 3,    ///< hw::PipelinedAlpu (stage-level RTL) vs ProtocolSpec
 };
 
 const char* to_string(ImplKind impl);
@@ -52,7 +56,7 @@ struct CheckOptions {
   /// protocol ops, and the spec demands detection (PARITY FAULT per
   /// probe) followed by full recovery at kReset.  Only meaningful for
   /// the implementations that carry the fault model (kArray datapath,
-  /// kTransaction protocol); ignored elsewhere.
+  /// kTransaction protocol); ignored by the kPipelined enumeration.
   bool faults = false;
 };
 
@@ -71,6 +75,15 @@ struct CheckResult {
 /// Exhaustively check one implementation/flavour pair.
 CheckResult check_impl(ImplKind impl, AlpuFlavor flavor,
                        const CheckOptions& options);
+
+/// Replay one caller-built sequence (a randomized fuzzer's, say) through
+/// the same per-step comparison, shrinking a failure to a minimal
+/// counterexample exactly as check_impl does.  `options.depth` is
+/// unused.  The sequence must be protocol-legal for `impl`, and may
+/// contain kCorrupt only with `options.faults` on an implementation
+/// that carries the fault model.
+CheckResult check_sequence(ImplKind impl, AlpuFlavor flavor,
+                           const CheckOptions& options, std::vector<Op> seq);
 
 /// Human-readable counterexample trace ("step 1: insert ...").
 std::string format_counterexample(const CheckResult& result);

@@ -19,10 +19,12 @@
 //                   retries after each insert and resolves at STOP
 //                   INSERT), at run-to-quiescence granularity.
 //
-// The bounded checker (checker.hpp) drives hw::AlpuArray,
-// hw::ReferenceAlpuArray, hw::Alpu and hw::PipelinedAlpu through all
-// short operation sequences and cross-checks every observable against
-// these specs after every step.
+// ListSpec is the repo's only executable definition of what correct
+// matching means.  The bounded checker (checker.hpp) drives
+// hw::AlpuArray, hw::Alpu and hw::PipelinedAlpu through all short
+// operation sequences, and replays randomized fuzz sequences, and
+// cross-checks every observable against these specs after every step;
+// the software lists (match/list.hpp) are tested against ListSpec too.
 #pragma once
 
 #include <cstddef>

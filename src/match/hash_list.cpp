@@ -92,8 +92,8 @@ void UnexpectedHashList::erase_journal_index(std::size_t pos) {
   if (dead > 64) {  // amortize: rebuild positions only occasionally
     journal_.erase(journal_.begin(),
                    journal_.begin() + static_cast<std::ptrdiff_t>(dead));
-    // determinism: ok — rebases every bucket by the same offset, so the
-    // result is independent of hash iteration order.
+    // lint: ok(unordered-iteration) — rebases every bucket by the same
+    // offset, so the result is independent of hash iteration order.
     for (auto& [word, poss] : index_) {
       for (auto& p : poss) p -= dead;
     }

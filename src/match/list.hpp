@@ -3,10 +3,12 @@
 // Every published MPI implementation the paper surveys (MPICH, LAM,
 // MPI/Pro, MPICH2, LA-MPI) keeps the posted-receive queue and the
 // unexpected-message queue as linear lists searched front-to-back.
-// These containers are that reference implementation: they define the
-// *correct* answer the ALPU model is property-tested against, and they
-// expose traversal counts so the NIC CPU cost model can charge time and
-// cache traffic per visited entry.
+// These containers are that baseline implementation, and they expose
+// traversal counts so the NIC CPU cost model can charge time and cache
+// traffic per visited entry.  The *correct* answer is defined elsewhere:
+// check::ListSpec (src/check/spec.hpp) is the one executable
+// specification of list semantics, and tests/test_match.cpp holds these
+// lists to it just as the model checker holds the ALPU array to it.
 //
 // Storage is a contiguous struct-of-arrays arena: the search keys
 // (bits/mask for the posted list, the explicit word for the unexpected

@@ -333,20 +333,13 @@ common::MatchCounters Nic::match_counters() const {
   return c;
 }
 
-void Nic::sync_seu_stats() const {
-  stats_.seu_injected = 0;
-  stats_.parity_faults = 0;
-  stats_.scrub_sweeps = 0;
-  stats_.seu_detect_latency_ps = 0;
+hw::SeuStats Nic::seu_stats() const {
+  hw::SeuStats s;
   for (const auto* ctx : {posted_ctx_ ? &*posted_ctx_ : nullptr,
                           unexpected_ctx_ ? &*unexpected_ctx_ : nullptr}) {
-    if (ctx == nullptr) continue;
-    const hw::SeuStats s = ctx->unit->seu_stats();
-    stats_.seu_injected += s.seu_injected;
-    stats_.parity_faults += s.parity_faults;
-    stats_.scrub_sweeps += s.scrub_sweeps;
-    stats_.seu_detect_latency_ps += s.detect_latency_sum_ps;
+    if (ctx != nullptr) s += ctx->unit->seu_stats();
   }
+  return s;
 }
 
 // ---------------------------------------------------------------------------

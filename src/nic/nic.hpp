@@ -71,17 +71,10 @@ struct NicStats {
   std::uint64_t alpu_fallback_resets = 0;   ///< ALPU reset to enter fallback
   std::uint64_t alpu_fallback_searches = 0;  ///< software walks while degraded
 
-  // Transient-fault subsystem (zero unless an SEU model is configured).
-  // The first three are mirrored from the units' own counters by
-  // stats(); `rebuilds` is firmware-side: parity-triggered reset +
-  // re-shadow recoveries that completed.
-  std::uint64_t seu_injected = 0;    ///< bit flips landed in the planes
-  std::uint64_t parity_faults = 0;   ///< detection episodes (quarantines)
-  std::uint64_t scrub_sweeps = 0;    ///< background verify sweeps
-  std::uint64_t rebuilds = 0;        ///< completed scrub-and-rebuild recoveries
-  /// Summed injection-to-detection latency over all detection episodes
-  /// (divide by `parity_faults` for the mean).  Mirrored from the units.
-  common::TimePs seu_detect_latency_ps = 0;
+  // Transient-fault subsystem, firmware side: parity-triggered reset +
+  // re-shadow recoveries that completed (zero unless an SEU model is
+  // configured).  The units' own counters are Nic::seu_stats().
+  std::uint64_t rebuilds = 0;
 
   // Eager-resource occupancy (tracked even with unlimited budgets, so
   // sweeps can report what an incast would have pinned).
@@ -133,10 +126,10 @@ class Nic : public sim::Component, private EagerAdmission {
 
   net::NodeId node() const { return node_; }
   const NicConfig& config() const { return config_; }
-  const NicStats& stats() const {
-    sync_seu_stats();
-    return stats_;
-  }
+  const NicStats& stats() const { return stats_; }
+  /// Fault-model counters summed over the attached ALPUs (injected
+  /// flips, parity detections, scrub sweeps, detection latency).
+  hw::SeuStats seu_stats() const;
   /// Probe-level work counters summed over the software match lists and
   /// any attached transaction-level ALPUs (probes issued, comparator
   /// cells scanned, entries moved by deletion compaction).
@@ -284,10 +277,6 @@ class Nic : public sim::Component, private EagerAdmission {
   /// and arms `rebuild_pending` so the re-shadow counts as a rebuild.
   sim::Process degrade_alpu(AlpuCtx& ctx, bool is_posted,
                             bool parity = false);
-
-  /// Mirror the units' fault counters into stats_ (stats_ is mutable
-  /// so const readers always see current values).
-  void sync_seu_stats() const;
 
   /// Read the next ALPU response for `expected_seq`, spinning on the
   /// result FIFO over the bus; consumes drained responses first.
@@ -475,7 +464,7 @@ class Nic : public sim::Component, private EagerAdmission {
   std::function<void(const Completion&)> on_completion_;
   sim::Trigger work_;
   sim::ProcessPool pool_;
-  mutable NicStats stats_;
+  NicStats stats_;
 };
 
 }  // namespace alpu::nic

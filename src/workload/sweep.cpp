@@ -11,9 +11,10 @@ namespace alpu::workload {
 
 int resolve_jobs(int jobs) {
   if (jobs > 0) return jobs;
-  // determinism: ok — sizes only the pool of host worker threads; each
-  // data point is an independent simulation whose result lands in its
-  // input-index slot, so the job count never touches simulated output.
+  // lint: ok(hardware-concurrency) — sizes only the pool of host worker
+  // threads; each data point is an independent simulation whose result
+  // lands in its input-index slot, so the job count never touches
+  // simulated output.
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }

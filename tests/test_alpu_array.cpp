@@ -1,10 +1,11 @@
 // Unit + property tests for the ALPU functional match array (Figure 2).
 #include <gtest/gtest.h>
 
-#include <deque>
 #include <tuple>
 
 #include "alpu/array.hpp"
+#include "check/checker.hpp"
+#include "check/spec.hpp"
 #include "common/rng.hpp"
 
 namespace alpu::hw {
@@ -211,45 +212,38 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(256, 8, 7),
                       std::make_tuple(256, 32, 8)));
 
-// ---- reference-model property: array == software list under churn ----------
+// ---- list property: array == ListSpec under churn --------------------------
 
 TEST(AlpuArray, BehavesLikeAListUnderChurn) {
+  // Random inserts (never past capacity) and probe-and-deletes, replayed
+  // against check::ListSpec by the model checker's datapath replay.
   common::Xoshiro256 rng(99);
-  AlpuArray a(AlpuFlavor::kPostedReceive, 64, 16);
-  std::deque<std::pair<match::Pattern, Cookie>> model;
-
+  check::ListSpec spec(AlpuFlavor::kPostedReceive, 64, match::kFullMask);
+  std::vector<check::Op> ops;
   for (int step = 0; step < 2'000; ++step) {
-    if (rng.chance(0.5) && !a.full()) {
-      const auto p = make_recv_pattern(
-          0,
-          rng.chance(0.25) ? std::nullopt
+    if (rng.chance(0.5) && !spec.full()) {
+      const auto src = rng.chance(0.25)
+                           ? std::nullopt
                            : std::optional<std::uint32_t>{
-                                 static_cast<std::uint32_t>(rng.below(6))},
-          static_cast<std::uint32_t>(rng.below(6)));
-      const auto c = static_cast<Cookie>(step + 1);
-      ASSERT_TRUE(a.insert(p.bits, p.mask, c));
-      model.emplace_back(p, c);
+                                 static_cast<std::uint32_t>(rng.below(6))};
+      const auto p = make_recv_pattern(
+          0, src, static_cast<std::uint32_t>(rng.below(6)));
+      ASSERT_TRUE(spec.insert(p.bits, p.mask, 0));
+      ops.push_back(check::Op{check::OpKind::kInsert, p.bits, p.mask, 0, 0});
     } else {
-      const Probe p = probe_of(0, static_cast<std::uint32_t>(rng.below(6)),
-                               static_cast<std::uint32_t>(rng.below(6)));
-      const ArrayMatch got = a.match_and_delete(p);
-      // Model: first matching entry in order.
-      bool found = false;
-      for (auto it = model.begin(); it != model.end(); ++it) {
-        if (it->first.matches(p.bits)) {
-          ASSERT_TRUE(got.hit);
-          ASSERT_EQ(got.cookie, it->second);
-          model.erase(it);
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        ASSERT_FALSE(got.hit);
-      }
+      const auto src = static_cast<std::uint32_t>(rng.below(6));
+      const Probe p =
+          probe_of(0, src, static_cast<std::uint32_t>(rng.below(6)));
+      (void)spec.match_and_delete(p.bits, p.mask);
+      ops.push_back(check::Op{check::OpKind::kProbe, p.bits, p.mask, 0, 0});
     }
-    ASSERT_EQ(a.occupancy(), model.size());
   }
+  check::CheckOptions opt;
+  opt.cells = 64;
+  opt.block = 16;
+  const check::CheckResult result = check::check_sequence(
+      check::ImplKind::kArray, AlpuFlavor::kPostedReceive, opt, ops);
+  EXPECT_TRUE(result.ok) << check::format_counterexample(result);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Protocol fuzzing for the cycle-level ALPU, plus differential fuzzing
-// of the SoA match engine against the retained reference implementation.
+// of the SoA match engine against the list specification.
 //
 // Protocol suite: random command/probe streams — including protocol
 // violations the firmware is told never to commit — must never deadlock
@@ -10,20 +10,23 @@
 //       drops), and never exceeds capacity;
 //   (4) the unit goes idle (stops consuming events) when starved.
 //
-// Differential suite: AlpuArray (word-parallel SoA engine) and
-// ReferenceAlpuArray (original cell-at-a-time implementation) are driven
-// with identical random insert / match / match_and_delete /
-// invalidate_matching / reset sequences — wildcard masks included — and
-// must agree on every result and on full cell-level state after every
-// step, through full-array and empty-array edges.
+// Differential suite: random insert / probe / sweep / reset sequences —
+// wildcard masks and SEU corrupt-and-rebuild episodes included — are
+// built as check::Op streams and replayed by check::check_sequence,
+// which drives AlpuArray (the word-parallel SoA engine) and
+// check::ListSpec side by side: every result and the full cell-level
+// state must agree after every step, through full-array and empty-array
+// edges, and a failure shrinks to a minimal counterexample.
 #include <gtest/gtest.h>
 
 #include <deque>
 #include <tuple>
+#include <vector>
 
 #include "alpu/alpu.hpp"
 #include "alpu/array.hpp"
-#include "alpu/reference.hpp"
+#include "check/checker.hpp"
+#include "check/spec.hpp"
 #include "common/rng.hpp"
 #include "sim/engine.hpp"
 
@@ -166,58 +169,36 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(16, 16, 6)));
 
 // ---------------------------------------------------------------------------
-// Differential fuzz: SoA engine vs retained reference implementation
+// Differential fuzz: random op sequences through the checker's replay
 // ---------------------------------------------------------------------------
 
-class AlpuDifferentialFuzz
-    : public ::testing::TestWithParam<
-          std::tuple<AlpuFlavor, std::size_t, std::size_t, std::uint64_t>> {};
+using check::CheckOptions;
+using check::CheckResult;
+using check::ImplKind;
+using check::ListSpec;
+using check::Op;
+using check::OpKind;
 
-namespace diff {
+/// Random operation-sequence generator for the differential fuzzes.  It
+/// tracks the list contents in its own ListSpec so it can steer a
+/// sequence to the array's edges (fill to capacity, drain to empty) and
+/// re-shadow after an upset; check::check_sequence then replays the ops
+/// against a fresh AlpuArray and ListSpec and compares every observable
+/// after every step.  Cookies are assigned at replay, so the generator's
+/// are all 0.
+struct OpStream {
+  OpStream(AlpuFlavor flavor, std::size_t cells, std::uint64_t seed)
+      : spec(flavor, cells, match::kFullMask), rng(seed) {}
 
-void expect_same_match(const ArrayMatch& a, const ArrayMatch& b,
-                       const char* what) {
-  ASSERT_EQ(a.hit, b.hit) << what;
-  if (a.hit) {
-    ASSERT_EQ(a.location, b.location) << what;
-    ASSERT_EQ(a.cookie, b.cookie) << what;
-  }
-}
-
-void expect_same_state(const AlpuArray& dut, const ReferenceAlpuArray& ref) {
-  ASSERT_EQ(dut.occupancy(), ref.occupancy());
-  ASSERT_EQ(dut.full(), ref.full());
-  ASSERT_EQ(dut.empty(), ref.empty());
-  ASSERT_EQ(dut.free_slots(), ref.free_slots());
-  for (std::size_t i = 0; i < dut.capacity(); ++i) {
-    const Cell d = dut.cell(i);
-    const Cell& r = ref.cell(i);
-    ASSERT_EQ(d.valid, r.valid) << "cell " << i;
-    if (!d.valid) continue;
-    ASSERT_EQ(d.bits, r.bits) << "cell " << i;
-    ASSERT_EQ(d.mask, r.mask) << "cell " << i;
-    ASSERT_EQ(d.cookie, r.cookie) << "cell " << i;
-  }
-}
-
-}  // namespace diff
-
-TEST_P(AlpuDifferentialFuzz, SoAEngineAgreesWithReference) {
-  const auto [flavor, cells, block, seed] = GetParam();
-  common::Xoshiro256 rng(seed);
-
-  AlpuArray dut(flavor, cells, block);
-  ReferenceAlpuArray ref(flavor, cells, block);
-
-  // A small envelope universe so matches, misses, and duplicate
-  // patterns all occur with useful frequency.
-  const auto random_word = [&rng = rng] {
+  /// A small envelope universe so matches, misses, and duplicate
+  /// patterns all occur with useful frequency.
+  MatchWord word() {
     return match::pack(match::Envelope{
         static_cast<std::uint32_t>(rng.below(2)),
         static_cast<std::uint32_t>(rng.below(4)),
         static_cast<std::uint32_t>(rng.below(4))});
-  };
-  const auto random_mask = [&rng = rng]() -> MatchWord {
+  }
+  MatchWord mask() {
     switch (rng.below(5)) {
       case 0: return 0;                                     // exact
       case 1: return match::kSourceMask;                    // ANY_SOURCE
@@ -225,70 +206,72 @@ TEST_P(AlpuDifferentialFuzz, SoAEngineAgreesWithReference) {
       case 3: return match::kSourceMask | match::kTagMask;  // both
       default: return match::kFullMask;                     // match-all
     }
-  };
-
-  Cookie next_cookie = 1;
-  for (int step = 0; step < 4'000; ++step) {
-    const double roll = rng.uniform01();
-    if (roll < 0.45) {
-      // Insert (drives toward the full-array edge; a full array must
-      // refuse identically on both sides).
-      const MatchWord bits = random_word();
-      const MatchWord mask = random_mask();
-      const Cookie ck = next_cookie++;
-      ASSERT_EQ(dut.insert(bits, mask, ck), ref.insert(bits, mask, ck));
-    } else if (roll < 0.60) {
-      // Pure probe: linear answer, tree answer, and reference agree.
-      const Probe p{random_word(), random_mask(), 0};
-      const ArrayMatch d = dut.match(p);
-      diff::expect_same_match(d, ref.match(p), "match vs reference");
-      diff::expect_same_match(d, dut.match_tree(p), "match vs match_tree");
-      diff::expect_same_match(d, ref.match_tree(p),
-                              "match vs reference match_tree");
-    } else if (roll < 0.85) {
-      // The architectural match pipeline: probe + delete + compaction.
-      const Probe p{random_word(), random_mask(), 0};
-      diff::expect_same_match(dut.match_and_delete(p),
-                              ref.match_and_delete(p), "match_and_delete");
-    } else if (roll < 0.97) {
-      // RESET PROCESS sweep (multi-delete compaction), occasionally with
-      // a match-all selector that empties the array in one sweep.
-      const Probe sel{random_word(), random_mask(), 0};
-      ASSERT_EQ(dut.invalidate_matching(sel), ref.invalidate_matching(sel));
-    } else {
-      dut.reset();
-      ref.reset();
-    }
-    diff::expect_same_state(dut, ref);
   }
 
-  // Deterministic edge sweep: fill to capacity, then drain to empty.
+  /// Append one op and apply it to the shadow spec.  A full array
+  /// refuses an insert (and so must the DUT); a probe is probe-and-delete
+  /// (the replay also checks the pure linear and priority-mux-tree
+  /// answers first); a sweep is the RESET PROCESS multi-delete, which a
+  /// match-all selector turns into a one-step flush.
+  void push(OpKind kind, MatchWord bits = 0, MatchWord m = 0) {
+    ops.push_back(Op{kind, bits, m, 0, 0});
+    if (kind == OpKind::kInsert) (void)spec.insert(bits, m, 0);
+    if (kind == OpKind::kProbe) (void)spec.match_and_delete(bits, m);
+    if (kind == OpKind::kSweep) (void)spec.sweep(bits, m);
+    if (kind == OpKind::kReset) spec.reset();
+  }
+  /// The same with a random envelope and wildcard mask.
+  void push_random(OpKind kind) {
+    const MatchWord bits = word();
+    push(kind, bits, mask());
+  }
+
+  ListSpec spec;
+  common::Xoshiro256 rng;
+  std::vector<Op> ops;
+};
+
+class AlpuDifferentialFuzz
+    : public ::testing::TestWithParam<
+          std::tuple<AlpuFlavor, std::size_t, std::size_t, std::uint64_t>> {};
+
+/// Random insert / probe / sweep / reset churn, wildcard masks included,
+/// then a deterministic edge sweep: fill to capacity, one refused
+/// insert, drain to empty, and a probe of the empty array.
+std::vector<Op> differential_ops(AlpuFlavor flavor, std::size_t cells,
+                                 std::uint64_t seed) {
+  OpStream s(flavor, cells, seed);
+  for (int step = 0; step < 4'000; ++step) {
+    const double roll = s.rng.uniform01();
+    if (roll < 0.97) {
+      s.push_random(roll < 0.45   ? OpKind::kInsert
+                    : roll < 0.85 ? OpKind::kProbe
+                                  : OpKind::kSweep);
+    } else {
+      s.push(OpKind::kReset);
+    }
+  }
+
   // Cells are inserted with a match-anything mask so the wildcard drain
   // probe hits under both flavours (posted matching consults the CELL's
   // stored mask, not the probe's).
-  dut.reset();
-  ref.reset();
-  while (!dut.full()) {
-    const MatchWord bits = random_word();
-    const Cookie ck = next_cookie++;
-    ASSERT_TRUE(dut.insert(bits, match::kFullMask, ck));
-    ASSERT_TRUE(ref.insert(bits, match::kFullMask, ck));
+  s.push(OpKind::kReset);
+  while (!s.spec.full()) s.push(OpKind::kInsert, s.word(), match::kFullMask);
+  s.push(OpKind::kInsert);  // refused: the array is full
+  for (std::size_t i = 0; i <= cells; ++i) {
+    s.push(OpKind::kProbe, 0, match::kFullMask);  // the last one misses
   }
-  ASSERT_FALSE(dut.insert(0, 0, next_cookie));
-  ASSERT_FALSE(ref.insert(0, 0, next_cookie));
-  diff::expect_same_state(dut, ref);
+  return s.ops;
+}
 
-  const Probe all{0, match::kFullMask, 0};
-  for (std::size_t i = 0; i < cells; ++i) {
-    diff::expect_same_match(dut.match_and_delete(all),
-                            ref.match_and_delete(all), "drain");
-    diff::expect_same_state(dut, ref);
-  }
-  ASSERT_TRUE(dut.empty());
-  diff::expect_same_match(dut.match(all), ref.match(all), "empty match");
-  diff::expect_same_match(dut.match_tree(all), ref.match_tree(all),
-                          "empty match_tree");
-  ASSERT_FALSE(dut.match(all).hit);
+TEST_P(AlpuDifferentialFuzz, SoAEngineAgreesWithReference) {
+  const auto [flavor, cells, block, seed] = GetParam();
+  CheckOptions opt;
+  opt.cells = cells;
+  opt.block = block;
+  const CheckResult result = check::check_sequence(
+      ImplKind::kArray, flavor, opt, differential_ops(flavor, cells, seed));
+  EXPECT_TRUE(result.ok) << check::format_counterexample(result);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -302,6 +285,45 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(AlpuFlavor::kUnexpected, 128, 32, 16),
         std::make_tuple(AlpuFlavor::kUnexpected, 256, 16, 17)));
 
+// The fuzz route has teeth: the seeded datapath bugs the exhaustive
+// check catches must also fail a generated sequence at full size.
+class DifferentialFuzzTeeth : public ::testing::Test {
+ protected:
+  void TearDown() override {
+    testing::inject_compaction_off_by_one = false;
+    testing::inject_silent_flip.store(false, std::memory_order_relaxed);
+  }
+
+  static CheckResult run_fuzz_sequence() {
+    CheckOptions opt;
+    opt.cells = 256;
+    opt.block = 16;
+    return check::check_sequence(
+        ImplKind::kArray, AlpuFlavor::kPostedReceive, opt,
+        differential_ops(AlpuFlavor::kPostedReceive, 256, 14));
+  }
+};
+
+TEST_F(DifferentialFuzzTeeth, CompactionOffByOneIsCaught) {
+  testing::inject_compaction_off_by_one = true;
+  const CheckResult result = run_fuzz_sequence();
+  ASSERT_FALSE(result.ok);
+  EXPECT_FALSE(result.divergence.empty());
+  // Shrunk from the full trace to two inserts and the probe that deletes
+  // the older one, the same minimum the exhaustive check finds.
+  ASSERT_EQ(result.counterexample.size(), 3u)
+      << check::format_counterexample(result);
+  EXPECT_EQ(result.counterexample.back().kind, OpKind::kProbe);
+}
+
+TEST_F(DifferentialFuzzTeeth, SilentFlipIsCaught) {
+  testing::inject_silent_flip.store(true, std::memory_order_relaxed);
+  const CheckResult result = run_fuzz_sequence();
+  ASSERT_FALSE(result.ok);
+  EXPECT_FALSE(result.counterexample.empty());
+  EXPECT_FALSE(result.divergence.empty());
+}
+
 // ---------------------------------------------------------------------------
 // SEU schedules: corrupt -> detect -> quarantine -> rebuild -> lockstep
 // ---------------------------------------------------------------------------
@@ -310,99 +332,53 @@ class SeuDifferentialFuzz
     : public ::testing::TestWithParam<std::tuple<AlpuFlavor, std::uint64_t>> {
 };
 
-// The reference array plays the NIC's software shadow list: after each
-// detected corruption the DUT is RESET and re-shadowed from it, exactly
-// the firmware's scrub-and-rebuild recovery, and lockstep must resume
-// as if the flip never happened.
+// The generator's ListSpec plays the NIC's software shadow list: after
+// each corruption the replay demands immediate detection and quarantine
+// (every match path and a sweep answer miss), then the sequence RESETs
+// and re-inserts the shadow's contents, exactly the firmware's
+// scrub-and-rebuild recovery, and lockstep must resume as if the flip
+// never happened.
 TEST_P(SeuDifferentialFuzz, CorruptDetectRebuildStaysInLockstep) {
   const auto [flavor, seed] = GetParam();
   constexpr std::size_t kCells = 64;
   constexpr std::size_t kBlock = 16;
-  common::Xoshiro256 rng(seed);
+  OpStream s(flavor, kCells, seed);
 
-  AlpuArray dut(flavor, kCells, kBlock);
-  ReferenceAlpuArray ref(flavor, kCells, kBlock);
-  SeuConfig seu;
-  seu.force_parity = true;  // deterministic flips below, no injector
-  dut.install_fault_model(seu, seed);
-  ASSERT_TRUE(dut.fault_model_installed());
-
-  const auto random_word = [&rng = rng] {
-    return match::pack(match::Envelope{
-        static_cast<std::uint32_t>(rng.below(2)),
-        static_cast<std::uint32_t>(rng.below(4)),
-        static_cast<std::uint32_t>(rng.below(4))});
-  };
-  const auto random_mask = [&rng = rng]() -> MatchWord {
-    switch (rng.below(4)) {
-      case 0: return 0;
-      case 1: return match::kSourceMask;
-      case 2: return match::kTagMask;
-      default: return match::kFullMask;
-    }
-  };
-
-  Cookie next_cookie = 1;
   std::uint64_t episodes = 0;
   for (int step = 0; step < 3'000; ++step) {
-    if (rng.chance(0.01)) {
+    if (s.rng.chance(0.01)) {
       // One upset: any plane, any cell (padded tail included — the
       // verify covers the whole SRAM, not just live entries), any bit.
-      const auto plane = static_cast<unsigned>(rng.below(4));
-      const std::size_t cell = rng.below(kCells);
-      const auto bit = static_cast<unsigned>(
-          plane == 2 ? rng.below(32) : plane == 3 ? 0 : rng.below(64));
-      dut.corrupt_for_test(plane, cell, bit);
-
-      // Detected at the next verify; the latch is sticky and every
-      // match path answers miss instead of trusting corrupt planes.
-      EXPECT_FALSE(dut.parity_ok());
-      ASSERT_TRUE(dut.quarantined());
-      const Probe p{random_word(), random_mask(), 0};
-      EXPECT_FALSE(dut.match(p).hit);
-      EXPECT_FALSE(dut.match_tree(p).hit);
-      EXPECT_FALSE(dut.match_and_delete(p).hit);
-      EXPECT_EQ(dut.invalidate_matching(p), 0u);
-
-      // Firmware recovery: RESET (reheals parity, lifts quarantine),
-      // then re-shadow from the software list.
-      dut.reset();
-      ASSERT_FALSE(dut.quarantined());
-      EXPECT_TRUE(dut.parity_ok());
-      for (std::size_t i = 0; i < ref.occupancy(); ++i) {
-        const Cell& c = ref.cell(i);
-        ASSERT_TRUE(dut.insert(c.bits, c.mask, c.cookie));
+      const std::uint64_t plane = s.rng.below(4);
+      const std::uint64_t cell = s.rng.below(kCells);
+      const auto bit = static_cast<Cookie>(
+          plane == 2 ? s.rng.below(32) : plane == 3 ? 0 : s.rng.below(64));
+      s.ops.push_back(Op{OpKind::kCorrupt, plane, cell, bit, 0});
+      // A quarantined probe: the shadow list is not consulted.
+      const MatchWord bits = s.word();
+      s.ops.push_back(Op{OpKind::kProbe, bits, s.mask(), 0, 0});
+      // Firmware recovery: RESET, then re-shadow from the software list.
+      s.ops.push_back(Op{OpKind::kReset, 0, 0, 0, 0});
+      for (const check::SpecEntry& e : s.spec.entries()) {
+        s.ops.push_back(Op{OpKind::kInsert, e.bits, e.mask, 0, 0});
       }
-      diff::expect_same_state(dut, ref);
       ++episodes;
       continue;
     }
-    const double roll = rng.uniform01();
-    if (roll < 0.45) {
-      const MatchWord bits = random_word();
-      const MatchWord mask = random_mask();
-      const Cookie ck = next_cookie++;
-      ASSERT_EQ(dut.insert(bits, mask, ck), ref.insert(bits, mask, ck));
-    } else if (roll < 0.60) {
-      const Probe p{random_word(), random_mask(), 0};
-      const ArrayMatch d = dut.match(p);
-      diff::expect_same_match(d, ref.match(p), "match vs reference");
-      diff::expect_same_match(d, dut.match_tree(p), "match vs match_tree");
-    } else if (roll < 0.90) {
-      const Probe p{random_word(), random_mask(), 0};
-      diff::expect_same_match(dut.match_and_delete(p),
-                              ref.match_and_delete(p), "match_and_delete");
-    } else {
-      const Probe sel{random_word(), random_mask(), 0};
-      ASSERT_EQ(dut.invalidate_matching(sel), ref.invalidate_matching(sel));
-    }
-    diff::expect_same_state(dut, ref);
+    const double roll = s.rng.uniform01();
+    s.push_random(roll < 0.45   ? OpKind::kInsert
+                  : roll < 0.90 ? OpKind::kProbe
+                                : OpKind::kSweep);
   }
-
   EXPECT_GT(episodes, 5u);  // the schedule actually exercised recovery
-  const SeuStats s = dut.seu_stats();
-  EXPECT_EQ(s.parity_faults, episodes);  // one detection per flip
-  EXPECT_EQ(s.seu_injected, 0u);         // flips came from the test hook
+
+  CheckOptions opt;
+  opt.cells = kCells;
+  opt.block = kBlock;
+  opt.faults = true;  // parity installed; flips come from the ops only
+  const CheckResult result =
+      check::check_sequence(ImplKind::kArray, flavor, opt, s.ops);
+  EXPECT_TRUE(result.ok) << check::format_counterexample(result);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,9 +2,10 @@
 // matching, per-process teardown, and the RESET MATCHING sweep.
 #include <gtest/gtest.h>
 
-#include <unordered_map>
+#include <vector>
 
 #include "alpu/multi.hpp"
+#include "check/spec.hpp"
 #include "common/rng.hpp"
 #include "sim/engine.hpp"
 
@@ -175,10 +176,11 @@ TEST_F(MultiUnitTest, InsertedForBookkeeping) {
 TEST(MultiArray, RandomTrafficNeverCrossesProcessBoundaries) {
   common::Xoshiro256 rng(7);
   AlpuArray array(AlpuFlavor::kPostedReceive, 128, 16, kPidSignificantMask);
-  // Reference: independent per-process entry lists.
-  std::unordered_map<std::uint32_t,
-                     std::vector<std::pair<match::Pattern, Cookie>>>
-      model;
+  // Oracle: one independent list specification per process.  (The PID
+  // bits widen the comparators, so this is not a plain check_sequence
+  // replay: a process's entries must behave as that process's own list.)
+  std::vector<check::ListSpec> model(
+      4, check::ListSpec(AlpuFlavor::kPostedReceive, 128, match::kFullMask));
 
   Cookie next = 1;
   for (int step = 0; step < 3'000; ++step) {
@@ -192,26 +194,17 @@ TEST(MultiArray, RandomTrafficNeverCrossesProcessBoundaries) {
           static_cast<std::uint32_t>(rng.below(4)));
       const Cookie c = next++;
       ASSERT_TRUE(array.insert(with_pid(p.bits, pid), p.mask & ~kPidMask, c));
-      model[pid].emplace_back(p, c);
+      ASSERT_TRUE(model[pid].insert(p.bits, p.mask, c));
     } else {
       const MatchWord header =
           pack(Envelope{0, static_cast<std::uint32_t>(rng.below(4)),
                         static_cast<std::uint32_t>(rng.below(4))});
       const auto got =
           array.match_and_delete(Probe{with_pid(header, pid), 0, 0});
-      auto& list = model[pid];
-      bool found = false;
-      for (auto it = list.begin(); it != list.end(); ++it) {
-        if (it->first.matches(header)) {
-          ASSERT_TRUE(got.hit);
-          ASSERT_EQ(got.cookie, it->second);
-          list.erase(it);
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        ASSERT_FALSE(got.hit);
+      const check::SpecMatch want = model[pid].match_and_delete(header, 0);
+      ASSERT_EQ(got.hit, want.hit);
+      if (want.hit) {
+        ASSERT_EQ(got.cookie, want.cookie);
       }
     }
   }

@@ -1,11 +1,12 @@
 // Tests for the RTL-level datapath model: hole dynamics, compaction,
-// delete-shift, and equivalence with the idealized functional array.
+// delete-shift, and equivalence with the list specification.
 #include <gtest/gtest.h>
 
 #include <optional>
 
 #include "alpu/array.hpp"
 #include "alpu/rtl.hpp"
+#include "check/spec.hpp"
 #include "common/rng.hpp"
 
 namespace alpu::hw {
@@ -181,7 +182,7 @@ TEST(RtlAlpu, DeleteNeverIncreasesHoleCount) {
   }
 }
 
-// ---- equivalence with the idealized functional array ---------------------------
+// ---- equivalence with the list specification ------------------------------------
 
 class RtlEquivalence
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t,
@@ -191,15 +192,15 @@ TEST_P(RtlEquivalence, AgreesWithFunctionalArrayAtQuiescence) {
   const auto [cells, block, seed] = GetParam();
   common::Xoshiro256 rng(seed);
   RtlAlpu rtl(AlpuFlavor::kPostedReceive, cells, block);
-  AlpuArray ideal(AlpuFlavor::kPostedReceive, cells, block);
+  check::ListSpec spec(AlpuFlavor::kPostedReceive, cells, match::kFullMask);
 
   for (int round = 0; round < 120; ++round) {
-    if (rng.chance(0.6) && !ideal.full()) {
+    if (rng.chance(0.6) && !spec.full()) {
       // Insert into both, spacing RTL inserts with idle cycles.
       const auto tag = static_cast<std::uint32_t>(rng.below(5));
       const Cookie c = static_cast<Cookie>(round + 1);
       const auto p = make_recv_pattern(0, 1, tag);
-      ASSERT_TRUE(ideal.insert(p.bits, p.mask, c));
+      ASSERT_TRUE(spec.insert(p.bits, p.mask, c));
       while (!rtl.can_insert()) {
         ASSERT_TRUE(rtl.step(std::nullopt, std::nullopt));
       }
@@ -214,7 +215,7 @@ TEST_P(RtlEquivalence, AgreesWithFunctionalArrayAtQuiescence) {
       // Probe both (RTL probes are valid in any state: priority is by
       // position, and age order is preserved under movement).
       const Probe p = probe_of(static_cast<std::uint32_t>(rng.below(5)));
-      const ArrayMatch a = ideal.match_and_delete(p);
+      const check::SpecMatch a = spec.match_and_delete(p.bits, p.mask);
       const ArrayMatch b = rtl.match(p);
       ASSERT_EQ(a.hit, b.hit) << "round " << round;
       if (a.hit) {
@@ -224,7 +225,7 @@ TEST_P(RtlEquivalence, AgreesWithFunctionalArrayAtQuiescence) {
         ASSERT_TRUE(rtl.step(std::nullopt, std::nullopt));
       }
     }
-    ASSERT_EQ(rtl.occupancy(), ideal.occupancy());
+    ASSERT_EQ(rtl.occupancy(), spec.size());
   }
   quiesce(rtl);
   EXPECT_EQ(rtl.holes(), 0u);

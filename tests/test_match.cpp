@@ -1,6 +1,7 @@
 // Unit tests for MPI matching semantics: packing, patterns, lists.
 #include <gtest/gtest.h>
 
+#include "check/spec.hpp"
 #include "common/rng.hpp"
 #include "match/list.hpp"
 #include "match/match.hpp"
@@ -178,46 +179,89 @@ TEST(UnexpectedList, ExplicitProbeSkipsNonMatching) {
   EXPECT_EQ(r.visited, 3u);
 }
 
-// ---- cross-validation: list pair behaves like a sequential MPI spec --------
+// ---- cross-validation: both lists against the list specification ----------
+//
+// check::ListSpec is the one executable statement of MPI list semantics
+// (oldest match wins, delete-on-match keeps the survivors in order) that
+// the ALPU array is model-checked against; the software lists are held
+// to the same brute-force spec here.
+
+void expect_same_hit(const SearchResult& got, const check::SpecMatch& want) {
+  ASSERT_EQ(got.found, want.hit);
+  if (want.hit) {
+    ASSERT_EQ(got.index, want.index);
+    ASSERT_EQ(got.cookie, want.cookie);
+  }
+}
+
+Pattern key_of(const PostedEntry& e) { return e.pattern; }
+Pattern key_of(const UnexpectedEntry& e) { return Pattern{e.word, 0}; }
+
+template <typename List>
+void expect_same_contents(const List& list, const check::ListSpec& spec) {
+  ASSERT_EQ(list.size(), spec.size());
+  for (std::size_t i = 0; i < list.size(); ++i) {
+    const check::SpecEntry& want = spec.entries()[i];
+    const Pattern key = key_of(list.at(i));
+    ASSERT_EQ(key.bits, want.bits) << "entry " << i;
+    ASSERT_EQ(key.mask, want.mask) << "entry " << i;
+    ASSERT_EQ(list.at(i).cookie, want.cookie) << "entry " << i;
+  }
+}
 
 TEST(Lists, RandomizedFirstMatchAgreesWithBruteForce) {
+  // The MPI queue pair under random traffic: a posted receive first
+  // searches the unexpected list (reverse lookup, wildcard probe) and is
+  // appended to the posted list only on a miss; an arrival searches the
+  // posted list and is appended to the unexpected list only on a miss.
+  // Every hit is erased.  Each list must give the spec's answer and hold
+  // the spec's contents after every step.
   common::Xoshiro256 rng(42);
-  PostedList list;
-  std::vector<PostedEntry> mirror;
-  for (int i = 0; i < 200; ++i) {
-    const auto src = rng.chance(0.3)
-                         ? std::nullopt
-                         : std::optional<std::uint32_t>{
-                               static_cast<std::uint32_t>(rng.below(8))};
-    const auto tag = rng.chance(0.1)
-                         ? std::nullopt
-                         : std::optional<std::uint32_t>{
-                               static_cast<std::uint32_t>(rng.below(8))};
-    const auto e = posted(static_cast<std::uint32_t>(rng.below(2)), src, tag,
-                          static_cast<Cookie>(i + 1));
-    list.append(e);
-    mirror.push_back(e);
-  }
-  for (int probe = 0; probe < 500; ++probe) {
-    const MatchWord w = pack(Envelope{
-        static_cast<std::uint32_t>(rng.below(2)),
-        static_cast<std::uint32_t>(rng.below(8)),
-        static_cast<std::uint32_t>(rng.below(8))});
-    const auto got = list.search(w);
-    // Brute-force specification.
-    bool found = false;
-    Cookie cookie = 0;
-    for (const auto& entry : mirror) {
-      if (entry.pattern.matches(w)) {
-        found = true;
-        cookie = entry.cookie;
-        break;
+  PostedList posted_list;
+  UnexpectedList unexpected_list;
+  check::ListSpec posted_spec(hw::AlpuFlavor::kPostedReceive, 4'096,
+                              kFullMask);
+  check::ListSpec unexpected_spec(hw::AlpuFlavor::kUnexpected, 4'096,
+                                  kFullMask);
+  const auto field = [&rng](double wild_chance) {
+    return rng.chance(wild_chance)
+               ? std::nullopt
+               : std::optional<std::uint32_t>{
+                     static_cast<std::uint32_t>(rng.below(8))};
+  };
+
+  for (int step = 0; step < 2'000; ++step) {
+    const auto cookie = static_cast<Cookie>(step + 1);
+    const auto ctx = static_cast<std::uint32_t>(rng.below(2));
+    if (rng.chance(0.5)) {
+      const auto src = field(0.3);
+      const Pattern p = make_recv_pattern(ctx, src, field(0.1));
+      const SearchResult got = unexpected_list.search(p);
+      ASSERT_NO_FATAL_FAILURE(expect_same_hit(
+          got, unexpected_spec.match_and_delete(p.bits, p.mask)));
+      if (got.found) {
+        unexpected_list.erase(got.index);
+      } else {
+        posted_list.append(PostedEntry{p, cookie, 0});
+        ASSERT_TRUE(posted_spec.insert(p.bits, p.mask, cookie));
+      }
+    } else {
+      const auto src = static_cast<std::uint32_t>(rng.below(8));
+      const MatchWord w = pack(Envelope{
+          ctx, src, static_cast<std::uint32_t>(rng.below(8))});
+      const SearchResult got = posted_list.search(w);
+      ASSERT_NO_FATAL_FAILURE(
+          expect_same_hit(got, posted_spec.match_and_delete(w, 0)));
+      if (got.found) {
+        posted_list.erase(got.index);
+      } else {
+        unexpected_list.append(UnexpectedEntry{w, cookie, 0});
+        ASSERT_TRUE(unexpected_spec.insert(w, 0, cookie));
       }
     }
-    EXPECT_EQ(got.found, found);
-    if (found) {
-      EXPECT_EQ(got.cookie, cookie);
-    }
+    ASSERT_NO_FATAL_FAILURE(expect_same_contents(posted_list, posted_spec));
+    ASSERT_NO_FATAL_FAILURE(
+        expect_same_contents(unexpected_list, unexpected_spec));
   }
 }
 

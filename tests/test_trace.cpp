@@ -1,7 +1,11 @@
 // Tests for the synthetic trace generator and the reference queue model.
 #include <gtest/gtest.h>
 
-#include "alpu/array.hpp"
+#include <utility>
+#include <vector>
+
+#include "check/checker.hpp"
+#include "check/spec.hpp"
 #include "workload/trace.hpp"
 
 namespace alpu::workload {
@@ -125,43 +129,65 @@ class ArrayVsReference : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ArrayVsReference, PostedQueueSemanticsIdentical) {
   // Replay a trace against (a) the reference posted/unexpected lists and
-  // (b) an AlpuArray pair large enough to never overflow.  The matched
-  // cookies must be identical at every step — the functional core of the
-  // hardware implements exactly the MPI queue discipline.
+  // (b) a check::ListSpec pair: the matched cookies must be identical at
+  // every step.  The ops each spec saw are then replayed by the model
+  // checker against an AlpuArray pair large enough to never overflow —
+  // the functional core of the hardware implements exactly the MPI
+  // queue discipline.
   TraceConfig cfg;
   cfg.operations = 1'500;
   cfg.seed = GetParam();
   const auto trace = generate_trace(cfg);
 
+  constexpr std::size_t kCells = 2048;
   ReferenceQueues reference;
-  hw::AlpuArray posted(hw::AlpuFlavor::kPostedReceive, 2048, 16);
-  hw::AlpuArray unexpected(hw::AlpuFlavor::kUnexpected, 2048, 16);
+  check::ListSpec posted(hw::AlpuFlavor::kPostedReceive, kCells,
+                         match::kFullMask);
+  check::ListSpec unexpected(hw::AlpuFlavor::kUnexpected, kCells,
+                             match::kFullMask);
+  std::vector<check::Op> posted_ops;
+  std::vector<check::Op> unexpected_ops;
   match::Cookie next_cookie = 1;
 
   for (const auto& op : trace) {
-    const auto expected = reference.apply(op);
-    if (op.is_post) {
-      const hw::Probe probe{op.pattern.bits, op.pattern.mask, 0};
-      const auto got = unexpected.match_and_delete(probe);
-      ASSERT_EQ(got.hit, expected.matched);
-      if (expected.matched) {
-        ASSERT_EQ(got.cookie, expected.cookie);
-      } else {
-        ASSERT_TRUE(
-            posted.insert(op.pattern.bits, op.pattern.mask, next_cookie++));
-      }
+    const TraceEvent expected = reference.apply(op);
+    // A post probes the unexpected queue and, on a miss, parks in the
+    // posted queue; an arrival does the reverse.  Either way the probe
+    // and the parked entry are the same {bits, mask}.
+    const match::Pattern entry =
+        op.is_post ? op.pattern : match::Pattern{op.word, 0};
+    check::ListSpec& probed = op.is_post ? unexpected : posted;
+    check::ListSpec& parked = op.is_post ? posted : unexpected;
+    std::vector<check::Op>& probed_ops =
+        op.is_post ? unexpected_ops : posted_ops;
+    std::vector<check::Op>& parked_ops =
+        op.is_post ? posted_ops : unexpected_ops;
+
+    const check::SpecMatch got =
+        probed.match_and_delete(entry.bits, entry.mask);
+    probed_ops.push_back(
+        check::Op{check::OpKind::kProbe, entry.bits, entry.mask, 0, 0});
+    ASSERT_EQ(got.hit, expected.matched);
+    if (got.hit) {
+      ASSERT_EQ(got.cookie, expected.cookie);
     } else {
-      const hw::Probe probe{op.word, 0, 0};
-      const auto got = posted.match_and_delete(probe);
-      ASSERT_EQ(got.hit, expected.matched);
-      if (expected.matched) {
-        ASSERT_EQ(got.cookie, expected.cookie);
-      } else {
-        ASSERT_TRUE(unexpected.insert(op.word, 0, next_cookie++));
-      }
+      ASSERT_TRUE(parked.insert(entry.bits, entry.mask, next_cookie++));
+      parked_ops.push_back(
+          check::Op{check::OpKind::kInsert, entry.bits, entry.mask, 0, 0});
     }
-    ASSERT_EQ(posted.occupancy(), reference.posted().size());
-    ASSERT_EQ(unexpected.occupancy(), reference.unexpected().size());
+    ASSERT_EQ(posted.size(), reference.posted().size());
+    ASSERT_EQ(unexpected.size(), reference.unexpected().size());
+  }
+
+  check::CheckOptions opt;
+  opt.cells = kCells;
+  opt.block = 16;
+  for (const auto& [flavor, ops] :
+       {std::pair{hw::AlpuFlavor::kPostedReceive, posted_ops},
+        std::pair{hw::AlpuFlavor::kUnexpected, unexpected_ops}}) {
+    const check::CheckResult result =
+        check::check_sequence(check::ImplKind::kArray, flavor, opt, ops);
+    EXPECT_TRUE(result.ok) << check::format_counterexample(result);
   }
 }
 

@@ -56,8 +56,8 @@ int usage() {
                " shards per simulation;\n"
                "                               results byte-identical at"
                " any count)\n"
-               "               [--depth N] [--impl array|reference|alpu"
-               "|pipelined|all]\n"
+               "               [--depth N] [--impl array|alpu|pipelined"
+               "|all]\n"
                "               [--inject-compaction-bug] [--flow]"
                "   (check mode; --flow model-checks\n"
                "                               the eager flow-control"
@@ -194,9 +194,6 @@ int run_check(const common::Flags& flags) {
   const std::string impl = flags.get("impl", "all");
   if (impl == "array" || impl == "all") {
     impls.push_back(check::ImplKind::kArray);
-  }
-  if (impl == "reference" || impl == "all") {
-    impls.push_back(check::ImplKind::kReference);
   }
   if (impl == "alpu" || impl == "all") {
     impls.push_back(check::ImplKind::kTransaction);

@@ -14,8 +14,6 @@ comment block immediately above it:
 
   * ``lint: ok(rule-id)`` — waives exactly that rule, any category.
     Always include a justification after an em-dash.
-  * ``determinism: ok`` — the legacy waiver; still honored, but only
-    for rules in the ``determinism`` category.
 
 Severities
 ----------
@@ -33,7 +31,6 @@ from typing import Callable, Iterable, Iterator
 
 SOURCE_SUFFIXES = {".cpp", ".hpp", ".h", ".cc"}
 
-LEGACY_WAIVER = "determinism: ok"
 WAIVER_RE = re.compile(r"lint:\s*ok\(([\w-]+)\)")
 
 
@@ -119,32 +116,19 @@ def strip_comments(line: str) -> str:
     return line.split("//", 1)[0]
 
 
-def waivers_for_line(raw_lines: list[str], lineno: int) -> tuple[set[str], bool]:
-    """(explicit rule-ids waived, legacy-determinism-waiver present) for
-    the flagged line: its own trailing comment plus the contiguous
-    comment block immediately above it."""
-    rule_ids: set[str] = set()
-    legacy = False
-
-    def scan(line: str) -> None:
-        nonlocal legacy
-        rule_ids.update(WAIVER_RE.findall(line))
-        if LEGACY_WAIVER in line:
-            legacy = True
-
-    scan(raw_lines[lineno - 1])
+def waivers_for_line(raw_lines: list[str], lineno: int) -> set[str]:
+    """Rule-ids waived for the flagged line: its own trailing comment
+    plus the contiguous comment block immediately above it."""
+    rule_ids = set(WAIVER_RE.findall(raw_lines[lineno - 1]))
     i = lineno - 2
     while i >= 0 and raw_lines[i].lstrip().startswith("//"):
-        scan(raw_lines[i])
+        rule_ids.update(WAIVER_RE.findall(raw_lines[i]))
         i -= 1
-    return rule_ids, legacy
+    return rule_ids
 
 
 def is_waived(rule: Rule, raw_lines: list[str], lineno: int) -> bool:
-    rule_ids, legacy = waivers_for_line(raw_lines, lineno)
-    if rule.id in rule_ids:
-        return True
-    return legacy and rule.category == "determinism"
+    return rule.id in waivers_for_line(raw_lines, lineno)
 
 
 def collect_files(roots: list[pathlib.Path]) -> list[pathlib.Path]:

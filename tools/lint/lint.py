@@ -12,7 +12,6 @@ Waive a finding with a comment on the flagged line or the comment block
 above it:
 
     // lint: ok(rule-id) — justification
-    // determinism: ok — legacy form, determinism-category rules only
 
 Usage:
     lint.py [DIR|FILE ...]          lint (default: src/)

@@ -5,11 +5,8 @@ parameters (docs/SIMULATOR.md): the DES kernel breaks timestamp ties
 with a monotone sequence number, the sweep runner produces
 byte-identical CSV at every job count, and the workloads take explicit
 seeds.  These rules reject anything that makes a run depend on when or
-where it executed, on ASLR, or on hash-bucket order.
-
-All rules here carry the ``determinism`` category, so the legacy
-``determinism: ok`` waiver comments keep working alongside the newer
-``lint: ok(rule-id)`` form.
+where it executed, on ASLR, or on hash-bucket order.  All rules here
+carry the ``determinism`` category.
 """
 
 from __future__ import annotations
