@@ -165,22 +165,30 @@ class Nic : public sim::Component, private EagerAdmission {
   /// Transaction-level view (nullptr when absent OR when the NIC runs
   /// the pipelined model).
   const hw::Alpu* posted_alpu() const {
-    return posted_ctx_ ? dynamic_cast<const hw::Alpu*>(posted_ctx_->unit.get())
-                       : nullptr;
+    return dynamic_cast<const hw::Alpu*>(posted_alpu_device());
   }
   const hw::Alpu* unexpected_alpu() const {
-    return unexpected_ctx_
-               ? dynamic_cast<const hw::Alpu*>(unexpected_ctx_->unit.get())
-               : nullptr;
+    return dynamic_cast<const hw::Alpu*>(unexpected_alpu_device());
   }
 
   void init() override;
 
  private:
-  /// Firmware-side bookkeeping for one attached ALPU.
+  /// Firmware driver state for one attached ALPU and the software list
+  /// it shadows (Section IV-C).  Both match queues run the same driver
+  /// routines below; what differs between the queues is the data here
+  /// and the probe push / search / erase their call sites supply
+  /// (handle_packet for posted receives, handle_request for the
+  /// unexpected queue).
+  template <class List>
   struct AlpuCtx {
+    /// The shadowed queue: its prefix [0, synced) is resident in `unit`.
+    const List& list;
     std::unique_ptr<hw::AlpuDevice> unit;
-    /// The queue prefix [0, synced) currently resident in the ALPU.
+    const char* label;  ///< queue name for the logs
+    /// This queue's verdict counters.
+    std::uint64_t NicStats::*hits;
+    std::uint64_t NicStats::*misses;
     std::size_t synced = 0;
     /// Next probe sequence number to assign.
     std::uint64_t next_probe_seq = 0;
@@ -195,14 +203,25 @@ class Nic : public sim::Component, private EagerAdmission {
     /// result), so they stay deliverable — but their entries are no
     /// longer shadowed, which waives the `index < synced` check.
     std::size_t stale_ok = 0;
-    /// True when read_match_result's last response came off the stale
-    /// (pre-reset) portion of `drained`.
+    /// True when the last response read came off the stale (pre-reset)
+    /// portion of `drained`.
     bool last_from_stale = false;
     /// A parity-triggered RESET is in the command FIFO but the unit may
     /// not have decoded it yet (fault_pending() still true).  Stops the
     /// firmware's dormant-fault sweep from issuing one reset per loop
     /// iteration; cleared when the unit is observed fault-free.
     bool fault_reset_issued = false;
+    /// Section IV-C: header replication into the unit is off until an
+    /// insert session loads it, and again whenever it empties or is
+    /// reset.  While off, packets take the full software search — safe
+    /// exactly because the unit is empty.  Only the posted unit is fed
+    /// by hardware replication (on_network_delivery); the firmware
+    /// probes the unexpected unit itself and ignores this flag.
+    bool probe_enabled = false;
+    /// Set while a reset forced the unit into software fallback; cleared
+    /// when an insert session re-shadows it.  Read for stats attribution
+    /// (alpu_fallback_searches) on the posted path only.
+    bool degraded = false;
   };
 
   /// One entry of the firmware's Rx work queue.
@@ -261,7 +280,20 @@ class Nic : public sim::Component, private EagerAdmission {
   sim::Process firmware();
   sim::Process handle_packet(RxItem item);
   sim::Process handle_request(HostRequest request);
-  sim::Process update_alpu(AlpuCtx& ctx, bool is_posted);
+
+  // ---- ALPU driver (one set of routines for both queues) ----
+
+  /// Build the unit for one queue from its configured geometry: the
+  /// flavour, the NIC-wide SEU model on a per-unit stream, and a fault
+  /// callback that wakes the firmware.
+  std::unique_ptr<hw::AlpuDevice> make_alpu(hw::AlpuConfig cfg,
+                                            hw::AlpuFlavor flavor,
+                                            const char* suffix);
+
+  /// Action 4: batch-insert the unsynced suffix (START INSERT / ACK /
+  /// INSERTs / STOP INSERT).
+  template <class List>
+  sim::Process update_alpu(AlpuCtx<List>& ctx);
 
   /// Enter software fallback for one ALPU: push a RESET (retrying at bus
   /// cost while the command FIFO is full) and forget the synced prefix.
@@ -275,23 +307,56 @@ class Nic : public sim::Component, private EagerAdmission {
   /// the back-pressure path it may run with stale drained responses
   /// outstanding (kept — they were verified before the fault latched)
   /// and arms `rebuild_pending` so the re-shadow counts as a rebuild.
-  sim::Process degrade_alpu(AlpuCtx& ctx, bool is_posted,
-                            bool parity = false);
+  template <class List>
+  sim::Process degrade_alpu(AlpuCtx<List>& ctx, bool parity = false);
 
-  /// Read the next ALPU response for `expected_seq`, spinning on the
-  /// result FIFO over the bus; consumes drained responses first.
-  sim::Process read_match_result(AlpuCtx& ctx, std::uint64_t expected_seq,
-                                 hw::Response* out);
+  /// The shared verdict step: read the unit's answer to probe `seq`
+  /// (consuming drained responses first, else spinning on the result
+  /// FIFO over the bus) and resolve it into `*out`.  A hit costs one
+  /// state-line touch — the cookie points straight at the entry; a miss
+  /// runs `search` over the unsynced suffix; a parity fault resets the
+  /// unit (scrub-and-rebuild) first, so that search covers the whole
+  /// list.  Accrued firmware time is added to `*t`; the caller erases.
+  template <class List, class Search>
+  sim::Process alpu_match(AlpuCtx<List>& ctx, std::uint64_t seq,
+                          const Search& search, common::TimePs* t,
+                          match::SearchResult* out);
+
+  /// Software search of `list` from index `first` with `search`
+  /// (first -> match::SearchResult): adds the walk over the visited
+  /// entries (each match line through the cache model) and, on a hit,
+  /// the matched entry's state-line touch to `*t`.  The baseline path,
+  /// and the ALPU fallback over the unsynced suffix.
+  template <class List, class Search>
+  match::SearchResult search_list(const List& list, std::size_t first,
+                                  const Search& search, common::TimePs* t);
+
+  /// Charge `t` of firmware time: counts it in NicStats::firmware_busy
+  /// and returns the delay the firmware awaits.  Every firmware cost
+  /// goes through here.
+  sim::DelayAwaiter charge(common::TimePs t) {
+    stats_.firmware_busy += t;
+    return sim::delay(engine(), t);
+  }
 
   // ---- helpers (pure cost computations mutate the cache model) ----
 
   common::TimePs instr(std::uint32_t cycles) const {
     return config_.clock.cycles(cycles);
   }
-  /// Cost of software-walking `visited` entries starting at `first`
-  /// (touches each entry's match line through the cache model).
-  common::TimePs walk_cost_posted(std::size_t first, std::size_t visited);
-  common::TimePs walk_cost_unexpected(std::size_t first, std::size_t visited);
+  /// Per-queue lookups of the shared driver, chosen by list type.
+  std::uint64_t& entries_walked(const match::PostedList&) {
+    return stats_.posted_entries_walked;
+  }
+  std::uint64_t& entries_walked(const match::UnexpectedList&) {
+    return stats_.unexpected_entries_walked;
+  }
+  mem::Addr state_line(const match::PostedList&, match::Cookie c) const {
+    return posted_info_.at(c).state_line;
+  }
+  mem::Addr state_line(const match::UnexpectedList&, match::Cookie c) const {
+    return unexpected_info_.at(c).state_line;
+  }
   /// Cost of touching a matched entry's state line plus unlink work.
   common::TimePs erase_cost(mem::Addr state_line);
   /// Cost of appending an entry (write match and state lines).
@@ -314,30 +379,30 @@ class Nic : public sim::Component, private EagerAdmission {
   void erase_posted(std::size_t index);
   void erase_unexpected(std::size_t index);
 
-  /// Map a cookie back to its current list index (O(1) both charged and
-  /// actual: the cookie is a direct pointer in hardware, and the lists
-  /// keep a cookie→index side table).
-  std::size_t posted_index_of(match::Cookie cookie) const {
-    return posted_.index_of(cookie);
-  }
-  std::size_t unexpected_index_of(match::Cookie cookie) const {
-    return unexpected_.index_of(cookie);
-  }
-
   /// Inject a matchable send leg, honouring per-destination MPI order
   /// (see the tx_ticket_* members).  Releases parked successors.
   void inject_matchable(const net::Packet& packet, std::uint64_t ticket);
 
-  /// `budget_reserved` is false for packets admitted through the
-  /// posted-match bypass: no eager resources were reserved for them, so
-  /// none must be released here.
-  sim::Process deliver_to_posted(match::Cookie cookie,
-                                 const net::Packet& packet,
-                                 common::TimePs accrued,
-                                 bool budget_reserved);
-  sim::Process deliver_from_unexpected(match::Cookie cookie,
-                                       const HostRequest& request,
-                                       common::TimePs accrued);
+  /// A matched message and receive, from either queue: the message's
+  /// side (kind, payload, rendezvous token, sender, envelope) and the
+  /// receive's (host buffer, size, request).
+  struct Delivery {
+    net::PacketKind kind;
+    std::uint32_t bytes;
+    std::uint64_t token;
+    net::NodeId src;
+    match::MatchWord bits;
+    mem::Addr buffer;
+    std::uint32_t max_bytes;
+    std::uint64_t req_id;
+    /// The eager payload holds pool bytes to release once the delivery
+    /// DMA drains it (false for packets admitted through the
+    /// posted-match bypass: nothing was reserved for them).
+    bool release_bytes;
+  };
+  /// Stream an eager payload to the host buffer, or answer a matched
+  /// RTS with a CTS; `accrued` is the firmware time spent matching.
+  sim::Process deliver(Delivery d, common::TimePs accrued);
 
   // ---- eager-resource accounting (EagerAdmission) ----
 
@@ -448,17 +513,8 @@ class Nic : public sim::Component, private EagerAdmission {
   // lint: ok(std-function-hot-path) — see enqueue_advance.
   std::deque<std::function<void()>> advance_fifo_;
 
-  std::optional<AlpuCtx> posted_ctx_;
-  std::optional<AlpuCtx> unexpected_ctx_;
-  /// Section IV-C: header replication into the posted-receive ALPU is
-  /// disabled until the firmware actually loads the unit (and again
-  /// whenever the unit empties).  While disabled, packets take the full
-  /// software search — which is safe exactly because the ALPU is empty.
-  bool posted_probe_enabled_ = false;
-  /// Set when header-FIFO back-pressure forced the posted ALPU into
-  /// software fallback; cleared when an insert session re-shadows it.
-  /// Only used for stats attribution (alpu_fallback_searches).
-  bool posted_degraded_ = false;
+  std::optional<AlpuCtx<match::PostedList>> posted_ctx_;
+  std::optional<AlpuCtx<match::UnexpectedList>> unexpected_ctx_;
 
   // lint: ok(std-function-hot-path) — installed once at wiring time.
   std::function<void(const Completion&)> on_completion_;
