@@ -246,5 +246,25 @@ TEST(AlpuArray, BehavesLikeAListUnderChurn) {
   EXPECT_TRUE(result.ok) << check::format_counterexample(result);
 }
 
+// ---- transient faults ------------------------------------------------------
+
+// An upset that sets a dead cell's validity bit must stay detectable
+// across a later insert into the same 64-cell validity word: the insert
+// may not recompute the word's parity from the (corrupted) word.
+TEST(AlpuArraySeu, InsertDoesNotLaunderAValidityUpset) {
+  AlpuArray a(AlpuFlavor::kUnexpected, 64, 8);
+  SeuConfig seu;
+  seu.force_parity = true;
+  a.install_fault_model(seu, /*stream=*/0);
+  a.corrupt_for_test(/*plane=*/3, /*cell=*/35, /*bit=*/0);  // ghost cell
+  ASSERT_TRUE(a.insert(pack(Envelope{0, 1, 7}), 0, 42));
+  // Context 0, any source, any tag: matches cell 0 (and the ghost).
+  const auto wild = make_recv_pattern(0, std::nullopt, std::nullopt);
+  const ArrayMatch m = a.match(Probe{wild.bits, wild.mask, 0});
+  EXPECT_FALSE(m.hit);
+  EXPECT_TRUE(a.quarantined());
+  EXPECT_EQ(a.seu_stats().parity_faults, 1u);
+}
+
 }  // namespace
 }  // namespace alpu::hw
