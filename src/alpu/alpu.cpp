@@ -72,7 +72,7 @@ bool Alpu::scrub_tick() {
   const bool quarantined = array_.scrub();
   if (!was_quarantined && quarantined && on_fault_) on_fault_();
   if (ops_since_scrub_ == 0) {
-    if (++idle_scrubs_ >= config_.seu.scrub_idle_limit) {
+    if (++idle_scrubs_ >= kScrubIdleLimit) {
       // Park until the next probe/command wakes us — a dormant unit
       // must not keep the event heap alive forever.
       idle_scrubs_ = 0;

@@ -172,7 +172,7 @@ class Alpu : public sim::Component, public AlpuDevice {
   AlpuArray array_;
   sim::Clock clock_;
   /// Background parity scrub (constructed always, woken only when
-  /// enabled).  Parks after `scrub_idle_limit` sweeps with no unit
+  /// enabled).  Parks after kScrubIdleLimit sweeps with no unit
   /// activity so an idle unit lets the event heap drain.
   sim::Clock scrub_clock_;
   bool scrub_enabled_ = false;

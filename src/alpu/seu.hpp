@@ -31,6 +31,16 @@
 
 namespace alpu::hw {
 
+/// Injection tick: upsets are drawn once per this much simulated time
+/// (lazily, caught up at the unit's next operation — a free-running
+/// per-tick process would keep the event heap alive forever).
+inline constexpr common::TimePs kSeuTickPs = 1'000'000;  // 1 us
+
+/// Consecutive scrub sweeps with no unit activity before the scrub
+/// clock parks (re-armed by the next probe/command), so an idle unit
+/// cannot keep the simulation from draining.
+inline constexpr unsigned kScrubIdleLimit = 4;
+
 struct SeuConfig {
   /// Probability that one bit flip fires per injection tick (per unit).
   /// 0 disables injection (parity may still be installed for scrubbing).
@@ -39,17 +49,9 @@ struct SeuConfig {
   /// from this (node id and flavour folded in), like per-link fault
   /// streams, so units corrupt independently but reproducibly.
   std::uint64_t seed = 0x5eed;
-  /// Injection tick: upsets are drawn once per this much simulated time
-  /// (lazily, caught up at the unit's next operation — a free-running
-  /// per-tick process would keep the event heap alive forever).
-  common::TimePs tick_ps = 1'000'000;  // 1 us
   /// Background scrub sweep period; 0 disables scrubbing (corruption is
   /// then only detected when a probe or sweep touches the array).
   common::TimePs scrub_interval_ps = 0;
-  /// Consecutive scrub sweeps with no unit activity before the scrub
-  /// clock parks (re-armed by the next probe/command), so an idle unit
-  /// cannot keep the simulation from draining.
-  unsigned scrub_idle_limit = 4;
   /// Install parity protection even with no injector and no scrub.  The
   /// bounded model checker uses this: it corrupts deterministically
   /// (OpKind::kCorrupt -> corrupt_for_test) and needs only detection.

@@ -46,8 +46,6 @@ struct AlpuUsePolicy {
   /// The paper notes break-even near 5 entries; its experiments use the
   /// ALPU unconditionally (threshold 0), so that is the default.
   std::size_t insert_threshold = 0;
-  /// Cap on inserts per START/STOP INSERT session (batching bound).
-  std::size_t max_batch = 256;
   /// Section IV-B: "the software ... should attempt to conglomerate
   /// insertions".  While the firmware has other work, it defers an
   /// insert session until at least this many entries are pending,
