@@ -64,9 +64,10 @@ struct ChaosParams {
   std::uint64_t eager_pool_bytes = 0;
   std::uint32_t unexpected_slots = 0;
   /// Engine shards for the conservative-parallel run (clamped to
-  /// `ranks`; 1 = the byte-exact single-threaded path).  The verdict and
-  /// every counter are byte-identical at any shard count — including
-  /// under fault injection.
+  /// `ranks`; 1 = the byte-exact single-threaded path).  Sharded runs
+  /// agree with each other, but under fault injection `1` can differ
+  /// from them: equal-time events may fire in another order (the known
+  /// defect in docs/SIMULATOR.md, e.g. seed 6 of a 64-rank 1% drop run).
   int shards = 1;
   /// Optional external determinism auditor (ALPU_AUDIT builds only;
   /// ignored otherwise).  The triage CLI installs one with tracing
