@@ -87,19 +87,26 @@ bool supports_faults(ImplKind impl) {
   return impl == ImplKind::kArray || impl == ImplKind::kTransaction;
 }
 
+/// Where a sequence stands in a corruption episode.  The datapath
+/// replay verifies parity in the kCorrupt step itself, so there an
+/// episode starts out detected; on the protocol tier the flip stays
+/// latent until the next probe, and insert sessions may run first.
+enum class Episode : std::uint8_t { kNone, kLatent, kDetected };
+
 /// Protocol legality of a whole sequence: insert-mode bracketing, plus
 /// the corruption-episode rules (kCorrupt outside insert mode, at most
-/// once per episode; only kProbe/kReset until the recovering kReset).
-/// Used by the shrinker; the enumerator enforces the same rules
+/// once per episode; until the recovering kReset only kProbe and kReset,
+/// plus insert sessions while the flip is latent — no probe inside
+/// them).  Used by the shrinker; the enumerator enforces the same rules
 /// incrementally — keep the two in lockstep or shrinking produces
 /// sequences the spec asserts on.
 bool sequence_legal(const std::vector<Op>& seq, bool protocol) {
   bool mode = false;
-  bool corrupted = false;
+  Episode ep = Episode::kNone;
   for (const Op& op : seq) {
     switch (op.kind) {
       case OpKind::kBegin:
-        if (!protocol || mode || corrupted) return false;
+        if (!protocol || mode || ep == Episode::kDetected) return false;
         mode = true;
         break;
       case OpKind::kEnd:
@@ -107,23 +114,28 @@ bool sequence_legal(const std::vector<Op>& seq, bool protocol) {
         mode = false;
         break;
       case OpKind::kInsert:
-        if ((protocol && !mode) || corrupted) return false;
+        // (An episode admits inserts only inside a latent-flip session.)
+        if ((protocol && !mode) || (!protocol && ep != Episode::kNone)) {
+          return false;
+        }
         break;
       case OpKind::kReset:
         if (mode) return false;
-        corrupted = false;
+        ep = Episode::kNone;
         break;
       case OpKind::kSweep:
-        if (mode || corrupted) return false;
+        if (mode || ep != Episode::kNone) return false;
         break;
       case OpKind::kProbe:
+        if (ep != Episode::kNone && mode) return false;
+        if (ep != Episode::kNone) ep = Episode::kDetected;
         break;
       case OpKind::kProbeRejected:
-        if (corrupted) return false;
+        if (ep != Episode::kNone) return false;
         break;
       case OpKind::kCorrupt:
-        if (mode || corrupted) return false;
-        corrupted = true;
+        if (mode || ep != Episode::kNone) return false;
+        ep = protocol ? Episode::kLatent : Episode::kDetected;
         break;
     }
   }
@@ -407,11 +419,6 @@ std::optional<std::string> replay_protocol(AlpuFlavor flavor,
   ProtocolSpec spec(flavor, opt.cells, match::kFullMask);
   Cookie next_cookie = 1;
   std::uint64_t next_seq = 1;
-  // Suspends the occupancy / cell-order comparison between a kCorrupt
-  // and the recovering kReset (the response-stream comparison keeps
-  // running — that is where PARITY FAULT detection is proven).
-  bool corrupted = false;
-
   for (std::size_t i = 0; i < seq.size(); ++i) {
     Op& op = seq[i];
     *fail_at = i;
@@ -435,7 +442,6 @@ std::optional<std::string> replay_protocol(AlpuFlavor flavor,
         break;
       case OpKind::kReset:
         pushed = dev.push_command({hw::CommandKind::kReset, 0, 0, 0});
-        corrupted = false;  // RESET reheals parity and lifts quarantine
         break;
       case OpKind::kSweep:
         pushed = dev.push_command(
@@ -445,7 +451,6 @@ std::optional<std::string> replay_protocol(AlpuFlavor flavor,
         if constexpr (std::is_same_v<Device, hw::Alpu>) {
           dev.corrupt_for_test(static_cast<unsigned>(op.bits),
                                static_cast<std::size_t>(op.mask), op.cookie);
-          corrupted = true;
         } else {
           ALPU_CHECK_FAIL("corrupt op on a device without a fault model");
         }
@@ -473,7 +478,10 @@ std::optional<std::string> replay_protocol(AlpuFlavor flavor,
                   join_responses(got).c_str(), join_responses(want).c_str());
     }
 
-    if (corrupted) continue;  // planes untrustworthy until the rebuild
+    // The occupancy / cell-order comparison is suspended while the spec
+    // is quarantined (the response-stream comparison above keeps
+    // running — that is where PARITY FAULT detection is proven).
+    if (spec.quarantined()) continue;
     if (dev.occupancy() != spec.list().size()) {
       return strf("occupancy %zu, spec says %zu", dev.occupancy(),
                   spec.list().size());
@@ -515,8 +523,7 @@ class Checker {
     std::vector<Op> seq;
     seq.reserve(opt_.depth);
     for (std::size_t depth = 1; depth <= opt_.depth; ++depth) {
-      if (!extend(seq, /*in_mode=*/false, /*corrupted=*/false, depth,
-                  result)) {
+      if (!extend(seq, /*in_mode=*/false, Episode::kNone, depth, result)) {
         shrink(result);
         result.ok = false;
         return result;
@@ -548,14 +555,23 @@ class Checker {
   /// insert mode; reset/sweep only outside; PipelinedAlpu discards
   /// RESET MATCHING, so it gets no sweep at all).  A corruption episode
   /// narrows the alphabet to probes (each must answer PARITY FAULT /
-  /// miss) and the recovering reset.
-  void legal_ops(bool in_mode, bool corrupted, std::vector<Op>& out) const {
+  /// miss) and the recovering reset, plus insert sessions while the
+  /// flip is latent (an insert may neither hide it nor miss its cell).
+  void legal_ops(bool in_mode, Episode ep, std::vector<Op>& out) const {
     out.clear();
-    if (corrupted) {
+    if (ep != Episode::kNone) {
+      if (in_mode) {
+        out.push_back(Op{OpKind::kEnd, 0, 0, 0, 0});
+        for (const Shape& s : alphabet_.inserts) {
+          out.push_back(Op{OpKind::kInsert, s.bits, s.mask, 0, 0});
+        }
+        return;
+      }
       for (const Shape& s : alphabet_.probes) {
         out.push_back(Op{OpKind::kProbe, s.bits, s.mask, 0, 0});
       }
       out.push_back(Op{OpKind::kReset, 0, 0, 0, 0});
+      if (ep == Episode::kLatent) out.push_back(Op{OpKind::kBegin, 0, 0, 0, 0});
       return;
     }
     const bool corrupt_ok = opt_.faults && supports_faults(impl_);
@@ -599,24 +615,28 @@ class Checker {
 
   /// DFS over sequences of length exactly `target`.  Returns false when
   /// a divergence was found (recorded into `result`).
-  bool extend(std::vector<Op>& seq, bool in_mode, bool corrupted,
+  bool extend(std::vector<Op>& seq, bool in_mode, Episode ep,
               std::size_t target, CheckResult& result) {
     if (seq.size() == target) {
       return replay(seq, result);
     }
     std::vector<Op> ops;
-    legal_ops(in_mode, corrupted, ops);
+    legal_ops(in_mode, ep, ops);
     for (const Op& op : ops) {
       seq.push_back(op);
       const bool next_mode =
           op.kind == OpKind::kBegin   ? true
           : op.kind == OpKind::kEnd   ? false
                                       : in_mode;
-      const bool next_corrupted =
-          op.kind == OpKind::kCorrupt ? true
-          : op.kind == OpKind::kReset ? false
-                                      : corrupted;
-      if (!extend(seq, next_mode, next_corrupted, target, result)) {
+      Episode next_ep = ep;
+      if (op.kind == OpKind::kCorrupt) {
+        next_ep = protocol_ ? Episode::kLatent : Episode::kDetected;
+      } else if (op.kind == OpKind::kReset) {
+        next_ep = Episode::kNone;
+      } else if (op.kind == OpKind::kProbe && ep != Episode::kNone) {
+        next_ep = Episode::kDetected;
+      }
+      if (!extend(seq, next_mode, next_ep, target, result)) {
         return false;
       }
       seq.pop_back();

@@ -206,15 +206,23 @@ void ProtocolSpec::apply(const Op& op, std::vector<SpecResponse>& out) {
       insert_mode_ = false;
       retry_pending_ = false;
       break;
-    case OpKind::kInsert:
+    case OpKind::kInsert: {
       ALPU_ASSERT(insert_mode_, "insert command outside insert mode");
       // Past the granted count the hardware has nowhere to put the
       // entry: record-and-drop (protocol violation by the processor).
-      (void)list_.insert(op.bits, op.mask, op.cookie);
+      const std::size_t cell = list_.size();
+      if (list_.insert(op.bits, op.mask, op.cookie) && latent_cell_ == cell) {
+        // The insert rewrote every plane of the flipped cell (data and
+        // validity) before any probe looked: nothing corrupt remains.
+        quarantined_ = false;
+        latent_cell_.reset();
+      }
       if (held_.has_value()) retry_pending_ = true;
       break;
+    }
     case OpKind::kProbe:
       queued_.push_back(PendingProbe{op.bits, op.mask, op.seq});
+      latent_cell_.reset();  // the probe's parity verify latches the fault
       break;
     case OpKind::kReset:
       ALPU_ASSERT(!insert_mode_, "reset inside insert mode is discarded");
@@ -222,6 +230,7 @@ void ProtocolSpec::apply(const Op& op, std::vector<SpecResponse>& out) {
       // storage, reheals parity, and lifts the quarantine.
       list_.reset();
       quarantined_ = false;
+      latent_cell_.reset();
       break;
     case OpKind::kSweep:
       ALPU_ASSERT(!insert_mode_, "sweep inside insert mode is discarded");
@@ -243,6 +252,7 @@ void ProtocolSpec::apply(const Op& op, std::vector<SpecResponse>& out) {
       ALPU_ASSERT(!insert_mode_, "corrupt op inside insert mode");
       ALPU_ASSERT(!quarantined_, "one corruption per episode");
       quarantined_ = true;
+      latent_cell_ = static_cast<std::size_t>(op.mask);
       break;
   }
   settle(out);

@@ -67,8 +67,10 @@ enum class OpKind : std::uint8_t {
   /// validity), `mask` = cell index, `cookie` = bit index.  Legal only
   /// outside insert mode and at most once per episode; until the
   /// recovering kReset, only kProbe (answered PARITY FAULT) and kReset
-  /// itself are legal.  Enabled by CheckOptions::faults on the
-  /// implementations that carry the fault model.
+  /// itself are legal — plus, on the protocol tier and before the
+  /// episode's first probe, insert sessions (kBegin / kInsert / kEnd),
+  /// which must not hide the flip.  Enabled by CheckOptions::faults on
+  /// the implementations that carry the fault model.
   kCorrupt,
 };
 
@@ -177,7 +179,9 @@ class ProtocolSpec {
   bool has_held_probe() const { return held_.has_value(); }
   /// True between kCorrupt and the recovering kReset: the stored planes
   /// are untrustworthy, so every probe answers PARITY FAULT and the
-  /// list contents are unobservable until rebuilt.
+  /// list contents are unobservable until rebuilt.  An insert that
+  /// rewrites the flipped cell before any probe saw the flip ends the
+  /// episode too: the write replaced the bad bit.
   bool quarantined() const { return quarantined_; }
 
  private:
@@ -195,6 +199,9 @@ class ProtocolSpec {
   bool insert_mode_ = false;
   bool retry_pending_ = false;
   bool quarantined_ = false;
+  /// The flipped cell while no probe has checked parity since the flip
+  /// (the unit has not latched its quarantine yet).
+  std::optional<std::size_t> latent_cell_;
   std::optional<PendingProbe> held_;
   std::deque<PendingProbe> queued_;
 };
