@@ -1,284 +1,98 @@
 #include "alpu/pipelined.hpp"
 
+#include <optional>
+
 #include "common/check.hpp"
 
 namespace alpu::hw {
 
 PipelinedAlpu::PipelinedAlpu(sim::Engine& engine, std::string name,
-                             const PipelinedAlpuConfig& config)
-    : sim::Component(engine, std::move(name)),
-      config_(config),
+                             const AlpuConfig& config)
+    : AlpuCore(engine, std::move(name), config, match_stages(config),
+               /*flush_cycles=*/0, [this] { return tick(); }),
       rtl_(config.flavor, config.total_cells, config.block_size,
-           config.significant_mask),
-      clock_(engine, config.clock, [this] { return tick(); }),
-      cross_block_cycles_(
-          config.total_cells / config.block_size >= 16 ? 2 : 1),
-      header_fifo_(config.header_fifo_depth),
-      command_fifo_(config.command_fifo_depth),
-      result_fifo_(config.result_fifo_depth) {}
-
-bool PipelinedAlpu::push_probe(const Probe& probe) {
-  if (!header_fifo_.try_push(probe)) return false;
-  clock_.wake();
-  return true;
-}
-
-bool PipelinedAlpu::push_command(const Command& cmd) {
-  if (!command_fifo_.try_push(cmd)) return false;
-  clock_.wake();
-  return true;
-}
-
-std::optional<Response> PipelinedAlpu::pop_result() {
-  auto r = result_fifo_.try_pop();
-  if (r.has_value()) clock_.wake();
-  return r;
-}
-
-void PipelinedAlpu::emit(Response r) {
-  r.issued_at = engine().now();
-  result_fifo_.push(r);
+           config.significant_mask) {
+  ALPU_ASSERT(!config.seu.any(),
+              "the SEU fault model is only implemented for the "
+              "transaction-level ALPU (use --alpu-model transaction)");
 }
 
 bool PipelinedAlpu::tick() {
-  ++stats_.cycles;
-
-  if (op_ != Op::kNone) {
-    switch (op_) {
-      case Op::kMatch: {
-        // Count down through the stages; the compare latches the match
-        // at stage 2, and a successful match's delete commits on the
-        // last stage.  No data movement happens during a match op
-        // outside the delete itself (Section III-B enables transfers
-        // only on match-delete or during inserts).
-        const unsigned total = match_stages();
-        const unsigned done = total - stage_left_;
-        if (done + 1 == 2) {
-          latched_match_ = rtl_.match(current_probe_);
-        }
-        --stage_left_;
-        if (stage_left_ == 0) {
-          finish_match();
-          op_ = Op::kNone;
-        }
-        return true;
+  switch (op_) {
+    case Op::kMatch: {
+      // Count down through the stages; the compare latches the match
+      // at stage 2, and a successful match's delete commits on the
+      // last stage.  No data movement happens during a match op
+      // outside the delete itself (Section III-B enables transfers
+      // only on match-delete or during inserts).
+      if (op_cycles_ + 1 == match_stages()) {
+        latched_match_ = rtl_.match(current_probe_);
       }
-      case Op::kInsert: {
-        if (pending_insert_.has_value()) {
-          if (rtl_.occupancy() == rtl_.capacity()) {
-            // Past the granted count (firmware protocol violation):
-            // nowhere to put it — drop, as the transaction model does.
-            ALPU_DEBUG_ASSERT(
-                !config_.assert_on_insert_drop,
-                "insert dropped by a full ALPU (grant overrun)");
-            ++stats_.inserts_dropped;
-            pending_insert_.reset();
-            stage_left_ = 1;
-            return true;
-          }
-          if (!rtl_.can_insert()) {
-            // Cell 0 still occupied: burn a compaction cycle (the real
-            // block-boundary bubble).
-            ++stats_.insert_bubbles;
-            (void)rtl_.step(std::nullopt, std::nullopt);
-            return true;
-          }
-          const bool ok = rtl_.step(pending_insert_, std::nullopt);
-          ALPU_ASSERT(ok, "insert issued while cell 0 was occupied");
+      if (--op_cycles_ == 0) {
+        op_ = Op::kNone;
+        if (latched_match_.hit) {
+          // Stage 6: commit the delete at the latched location (no
+          // movement occurred since the compare, so the location is
+          // still current).
+          const bool ok = rtl_.step(std::nullopt, latched_match_.location);
+          ALPU_ASSERT(ok,
+                      "latched delete location no longer names a valid cell");
           (void)ok;
-          pending_insert_.reset();
-          ++stats_.inserts;
-          stage_left_ = 1;  // settle cycle (the "every other cycle")
-          return true;
         }
-        // Settle cycle doubles as a compaction step.
-        (void)rtl_.step(std::nullopt, std::nullopt);
-        --stage_left_;
-        if (stage_left_ == 0) {
-          op_ = Op::kNone;
-          if (held_probe_.has_value()) retry_pending_ = true;
-        }
-        return true;
+        finish_match(latched_match_, /*parity_fault=*/false);
       }
-      case Op::kDecode: {
-        --stage_left_;
-        if (stage_left_ == 0) {
-          op_ = Op::kNone;
-          ALPU_ASSERT(!command_fifo_.empty(),
-                      "decode stage with empty command FIFO");
-          decode(command_fifo_.pop());
-        }
-        return true;
-      }
-      case Op::kNone:
-        break;
-    }
-  }
-  return start_next();
-}
-
-bool PipelinedAlpu::start_next() {
-  switch (state_) {
-    case State::kMatch: {
-      if (held_probe_.has_value() && !result_fifo_.full()) {
-        current_probe_ = *held_probe_;
-        ++stats_.held_retries;
-        op_ = Op::kMatch;
-        stage_left_ = match_stages();
-        return true;
-      }
-      if (!command_fifo_.empty() && !result_fifo_.full()) {
-        state_ = State::kReadCommand;
-        op_ = Op::kDecode;
-        stage_left_ = 1;
-        return true;
-      }
-      if (!header_fifo_.empty() && !result_fifo_.full()) {
-        current_probe_ = header_fifo_.pop();
-        ++stats_.probes_accepted;
-        op_ = Op::kMatch;
-        stage_left_ = match_stages();
-        return true;
-      }
-      return false;
-    }
-    case State::kReadCommand: {
-      if (command_fifo_.empty()) {
-        state_ = State::kMatch;
-        return start_next();
-      }
-      if (result_fifo_.full()) return false;
-      op_ = Op::kDecode;
-      stage_left_ = 1;
       return true;
     }
-    case State::kInsertMode: {
-      if (!command_fifo_.empty()) {
-        if (command_fifo_.front().kind == CommandKind::kInsert) {
-          const Command cmd = command_fifo_.pop();
-          Cell cell;
-          cell.bits = cmd.bits;
-          cell.mask = cmd.mask;
-          cell.cookie = cmd.cookie;
-          cell.valid = true;
-          pending_insert_ = cell;
-          op_ = Op::kInsert;
-          stage_left_ = 1;
+    case Op::kInsert: {
+      if (op_cycles_ == kInsertIntervalCycles) {
+        // Write cycle.  Past the granted count (firmware protocol
+        // violation) there is nowhere to put the entry: drop it, as the
+        // transaction model does.
+        const bool full = rtl_.occupancy() == capacity();
+        if (!full && !rtl_.can_insert()) {
+          // Cell 0 still occupied: burn a compaction cycle (the real
+          // block-boundary bubble).
+          ++stats_.insert_bubbles;
+          (void)rtl_.step(std::nullopt, std::nullopt);
           return true;
         }
-        op_ = Op::kDecode;
-        stage_left_ = 1;
-        return true;
-      }
-      if (retry_pending_ && held_probe_.has_value() &&
-          !result_fifo_.full()) {
-        current_probe_ = *held_probe_;
-        retry_pending_ = false;
-        ++stats_.held_retries;
-        op_ = Op::kMatch;
-        stage_left_ = match_stages();
-        return true;
-      }
-      if (held_probe_.has_value()) return false;
-      if (!header_fifo_.empty() && !result_fifo_.full()) {
-        current_probe_ = header_fifo_.pop();
-        ++stats_.probes_accepted;
-        op_ = Op::kMatch;
-        stage_left_ = match_stages();
-        return true;
-      }
-      // Idle insert mode: transfers are enabled — run compaction until
-      // the datapath quiesces, then sleep.
-      if (!rtl_.quiescent()) {
+        if (!full) {
+          const bool ok = rtl_.step(
+              Cell{current_command_.bits, current_command_.mask,
+                   current_command_.cookie, true},
+              std::nullopt);
+          ALPU_ASSERT(ok, "insert issued while cell 0 was occupied");
+          (void)ok;
+        }
+        finish_insert(!full);
+      } else {
+        // Settle cycle (the "every other cycle") doubles as a
+        // compaction step.
         (void)rtl_.step(std::nullopt, std::nullopt);
-        return true;
       }
-      return false;
+      if (--op_cycles_ == 0) op_ = Op::kNone;
+      return true;
     }
+    case Op::kDecode:
+      if (--op_cycles_ == 0) {
+        op_ = Op::kNone;
+        decode_command();
+      }
+      return true;
+    case Op::kFlush:
+      ALPU_CHECK_FAIL("RESET MATCHING sweep in the stage-level model");
+      return false;
+    case Op::kNone:
+      break;
+  }
+  if (start_next_op()) return true;
+  // Idle insert mode with no held failure: transfers are enabled — run
+  // compaction until the datapath quiesces, then sleep.
+  if (in_insert_mode() && !held_probe_.has_value() && !rtl_.quiescent()) {
+    (void)rtl_.step(std::nullopt, std::nullopt);
+    return true;
   }
   return false;
-}
-
-void PipelinedAlpu::finish_match() {
-  const bool was_held = held_probe_.has_value() &&
-                        held_probe_->seq == current_probe_.seq;
-  if (latched_match_.hit) {
-    // Stage 6: commit the delete at the latched location (no movement
-    // occurred since the compare, so the location is still current).
-    const bool ok =
-        rtl_.step(std::nullopt, latched_match_.location);
-    ALPU_ASSERT(ok, "latched delete location no longer names a valid cell");
-    (void)ok;
-    emit(Response{ResponseKind::kMatchSuccess, latched_match_.cookie, 0,
-                  current_probe_.seq, 0});
-    ++stats_.match_successes;
-    if (was_held) {
-      held_probe_.reset();
-      retry_pending_ = false;
-    }
-    return;
-  }
-  if (state_ == State::kInsertMode) {
-    held_probe_ = current_probe_;
-    return;
-  }
-  emit(Response{ResponseKind::kMatchFailure, 0, 0, current_probe_.seq, 0});
-  ++stats_.match_failures;
-  if (was_held) {
-    held_probe_.reset();
-    retry_pending_ = false;
-  }
-}
-
-void PipelinedAlpu::decode(const Command& cmd) {
-  if (state_ == State::kReadCommand) {
-    switch (cmd.kind) {
-      case CommandKind::kReset:
-        rtl_.reset();
-        ++stats_.resets;
-        if (held_probe_.has_value()) {
-          emit(Response{ResponseKind::kMatchFailure, 0, 0,
-                        held_probe_->seq, 0});
-          ++stats_.match_failures;
-          held_probe_.reset();
-          retry_pending_ = false;
-        }
-        state_ = State::kMatch;
-        break;
-      case CommandKind::kStartInsert:
-        emit(Response{
-            ResponseKind::kStartAck, 0,
-            static_cast<std::uint32_t>(rtl_.capacity() - rtl_.occupancy()),
-            0, 0});
-        state_ = State::kInsertMode;
-        break;
-      default:
-        // RESET MATCHING is not wired into the stage-level model (the
-        // transaction-level Alpu carries the extension); discard, as
-        // with any other invalid command here.
-        ++stats_.commands_discarded;
-        break;
-    }
-    return;
-  }
-
-  ALPU_ASSERT(state_ == State::kInsertMode,
-              "insert-mode decode outside insert mode (Figure 3)");
-  switch (cmd.kind) {
-    case CommandKind::kStopInsert:
-      state_ = State::kMatch;
-      retry_pending_ = false;
-      break;
-    case CommandKind::kStartInsert:
-      emit(Response{
-          ResponseKind::kStartAck, 0,
-          static_cast<std::uint32_t>(rtl_.capacity() - rtl_.occupancy()),
-          0, 0});
-      break;
-    default:
-      ++stats_.commands_discarded;
-      break;
-  }
 }
 
 }  // namespace alpu::hw

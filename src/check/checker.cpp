@@ -383,24 +383,14 @@ std::vector<SpecEntry> logical_cells(const hw::PipelinedAlpu& dev) {
 }
 
 hw::AlpuConfig make_device_config(AlpuFlavor flavor, const CheckOptions& opt,
-                                  const hw::Alpu*) {
+                                  bool fault_model) {
   hw::AlpuConfig cfg;
   cfg.flavor = flavor;
   cfg.total_cells = opt.cells;
   cfg.block_size = opt.block;
   // Fault checking needs the parity planes installed; the injector and
   // the scrub stay off — kCorrupt flips bits deterministically instead.
-  cfg.seu.force_parity = opt.faults;
-  return cfg;
-}
-
-hw::PipelinedAlpuConfig make_device_config(AlpuFlavor flavor,
-                                           const CheckOptions& opt,
-                                           const hw::PipelinedAlpu*) {
-  hw::PipelinedAlpuConfig cfg;
-  cfg.flavor = flavor;
-  cfg.total_cells = opt.cells;
-  cfg.block_size = opt.block;
+  cfg.seu.force_parity = opt.faults && fault_model;
   return cfg;
 }
 
@@ -414,8 +404,8 @@ std::optional<std::string> replay_protocol(AlpuFlavor flavor,
                                            std::vector<Op>& seq,
                                            std::size_t* fail_at) {
   sim::Engine engine;
-  Device dev(engine, "dut", make_device_config(flavor, opt,
-                                               static_cast<Device*>(nullptr)));
+  constexpr bool kFaultModel = std::is_same_v<Device, hw::Alpu>;
+  Device dev(engine, "dut", make_device_config(flavor, opt, kFaultModel));
   ProtocolSpec spec(flavor, opt.cells, match::kFullMask);
   Cookie next_cookie = 1;
   std::uint64_t next_seq = 1;
@@ -448,7 +438,7 @@ std::optional<std::string> replay_protocol(AlpuFlavor flavor,
             {hw::CommandKind::kResetMatching, op.bits, op.mask, 0});
         break;
       case OpKind::kCorrupt:
-        if constexpr (std::is_same_v<Device, hw::Alpu>) {
+        if constexpr (kFaultModel) {
           dev.corrupt_for_test(static_cast<unsigned>(op.bits),
                                static_cast<std::size_t>(op.mask), op.cookie);
         } else {

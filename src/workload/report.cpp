@@ -12,13 +12,13 @@ namespace {
 std::string u64(std::uint64_t v) { return std::to_string(v); }
 
 void alpu_row(common::TextTable& t, const char* label,
-              const hw::Alpu* unit) {
+              const hw::AlpuCore* unit) {
   if (unit == nullptr) {
     t.add_row({label, "-", "-", "-", "-", "-", "-"});
     return;
   }
   const hw::AlpuStats& s = unit->stats();
-  t.add_row({label, u64(unit->array().occupancy()),
+  t.add_row({label, u64(unit->occupancy()),
              u64(s.probes_accepted), u64(s.match_successes),
              u64(s.match_failures), u64(s.inserts), u64(s.held_retries)});
 }
@@ -52,8 +52,8 @@ std::string machine_report(mpi::Machine& machine) {
     for (int r = 0; r < machine.size(); ++r) {
       const std::string posted = "node" + std::to_string(r) + ".posted";
       const std::string unexp = "node" + std::to_string(r) + ".unexpected";
-      alpu_row(t, posted.c_str(), machine.nic(r).posted_alpu());
-      alpu_row(t, unexp.c_str(), machine.nic(r).unexpected_alpu());
+      alpu_row(t, posted.c_str(), machine.nic(r).posted_alpu_device());
+      alpu_row(t, unexp.c_str(), machine.nic(r).unexpected_alpu_device());
     }
     out << "--- ALPU ---\n" << t.render();
   }

@@ -25,7 +25,7 @@ constexpr common::TimePs kCycle = 2'000;
 class PipelinedTest : public ::testing::Test {
  protected:
   void make(std::size_t cells = 32, std::size_t block = 8) {
-    PipelinedAlpuConfig cfg;
+    AlpuConfig cfg;
     cfg.total_cells = cells;
     cfg.block_size = block;
     cfg.clock = common::ClockPeriod{kCycle};
@@ -145,27 +145,20 @@ class Differential
 TEST_P(Differential, ResponseStreamsIdentical) {
   const auto [cells, block, seed] = GetParam();
 
-  // One engine, both units, identical pushes at identical times.
+  // One engine, both units, one configuration, identical pushes at
+  // identical times.
   sim::Engine engine;
-  AlpuConfig a_cfg;
-  a_cfg.total_cells = cells;
-  a_cfg.block_size = block;
-  a_cfg.clock = common::ClockPeriod{kCycle};
-  a_cfg.match_latency_cycles =
-      cells / block >= 16 ? 7 : 6;  // align with the pipelined depth
-  a_cfg.header_fifo_depth = 4096;
-  a_cfg.command_fifo_depth = 4096;
-  a_cfg.result_fifo_depth = 4096;
-  Alpu txn(engine, "txn", a_cfg);
-
-  PipelinedAlpuConfig p_cfg;
-  p_cfg.total_cells = cells;
-  p_cfg.block_size = block;
-  p_cfg.clock = common::ClockPeriod{kCycle};
-  p_cfg.header_fifo_depth = 4096;
-  p_cfg.command_fifo_depth = 4096;
-  p_cfg.result_fifo_depth = 4096;
-  PipelinedAlpu pipe(engine, "pipe", p_cfg);
+  AlpuConfig cfg;
+  cfg.total_cells = cells;
+  cfg.block_size = block;
+  cfg.clock = common::ClockPeriod{kCycle};
+  // Align the transaction latency with the pipelined depth.
+  cfg.match_latency_cycles = PipelinedAlpu::match_stages(cfg);
+  cfg.header_fifo_depth = 4096;
+  cfg.command_fifo_depth = 4096;
+  cfg.result_fifo_depth = 4096;
+  Alpu txn(engine, "txn", cfg);
+  PipelinedAlpu pipe(engine, "pipe", cfg);
 
   // Protocol-shaped random stimulus: sessions with batches of inserts,
   // probes throughout, occasional resets.

@@ -29,7 +29,6 @@ class AlpuUnitTest : public ::testing::Test {
     cfg.block_size = block;
     cfg.clock = common::ClockPeriod{kCycle};
     cfg.match_latency_cycles = 7;
-    cfg.insert_interval_cycles = 2;
     cfg.header_fifo_depth = 8;
     cfg.command_fifo_depth = 32;
     cfg.result_fifo_depth = result_depth;
