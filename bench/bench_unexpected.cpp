@@ -37,12 +37,7 @@ int main(int argc, char** argv) {
                    ? static_cast<int>(flags->get_int("jobs", 0))
                    : 0;
 
-  const std::vector<std::size_t> lengths =
-      quick ? std::vector<std::size_t>{0, 1, 5, 10, 20, 35, 50, 70, 100,
-                                       150, 200, 300}
-            : std::vector<std::size_t>{0,   1,   5,   10,  20,  35,
-                                       50,  70,  100, 128, 150, 200,
-                                       256, 300, 400, 500, 600};
+  const std::vector<std::size_t> lengths = workload::fig6_queue_lengths(quick);
   const std::vector<NicMode> modes = {NicMode::kBaseline, NicMode::kAlpu128,
                                       NicMode::kAlpu256};
 

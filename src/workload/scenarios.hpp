@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 
 #include "common/stats.hpp"
@@ -115,11 +116,17 @@ struct LatencyResult {
   std::uint64_t peak_unexpected_slots = 0;
 };
 
+/// Called with the machine a scenario ran, after the run and before
+/// teardown (e.g. to render its component report).
+using MachineInspector = std::function<void(mpi::Machine&)>;
+
 /// Run one pre-posted-queue measurement (Figure 5 data point).
-LatencyResult run_preposted(const PrepostedParams& params);
+LatencyResult run_preposted(const PrepostedParams& params,
+                            const MachineInspector& inspect = nullptr);
 
 /// Run one unexpected-queue measurement (Figure 6 data point).
-LatencyResult run_unexpected(const UnexpectedParams& params);
+LatencyResult run_unexpected(const UnexpectedParams& params,
+                             const MachineInspector& inspect = nullptr);
 
 /// A plain zero-queue ping-pong, averaged over `iterations` round trips
 /// (the classical latency test of Section II's hash-table discussion).

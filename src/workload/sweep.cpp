@@ -75,6 +75,12 @@ std::vector<std::size_t> fig5_queue_lengths(bool quick) {
           150, 200, 250, 300, 350, 400, 450, 500};
 }
 
+std::vector<std::size_t> fig6_queue_lengths(bool quick) {
+  if (quick) return {0, 1, 5, 10, 20, 35, 50, 70, 100, 150, 200, 300};
+  return {0,   1,   5,   10,  20,  35,  50,  70,  100,
+          128, 150, 200, 256, 300, 400, 500, 600};
+}
+
 std::vector<double> fig5_fractions(bool quick) {
   if (quick) return {0.0, 0.5, 1.0};
   return {0.0, 0.25, 0.5, 0.75, 1.0};

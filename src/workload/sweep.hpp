@@ -85,8 +85,9 @@ struct SurfaceRow {
   LatencyResult result;
 };
 
-/// The paper's queue-length axis; `quick` is the reduced CI/test grid.
+/// The paper's queue-length axes; `quick` is the reduced CI/test grid.
 std::vector<std::size_t> fig5_queue_lengths(bool quick);
+std::vector<std::size_t> fig6_queue_lengths(bool quick);
 std::vector<double> fig5_fractions(bool quick);
 
 /// The full mode x length x fraction grid (modes ordered baseline,

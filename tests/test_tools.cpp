@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <sstream>
 #include <string>
 
 #include "common/flags.hpp"
@@ -80,6 +82,19 @@ int alpusim(const std::string& args) {
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
+/// Standard output of `alpusim <args>`.
+std::string alpusim_output(const std::string& args) {
+  const std::string cmd = std::string(ALPUSIM_PATH) + " " + args;
+  std::string out;
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return out;
+  char buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0) out.append(buf, n);
+  pclose(pipe);
+  return out;
+}
+
 TEST(Alpusim, RejectsUnknownFlags) {
   // A misspelt flag used to run the defaults silently and exit 0.
   EXPECT_EQ(alpusim("chaos --rates 0.01 --bogus 3"), 2);
@@ -99,6 +114,35 @@ TEST(Alpusim, AcceptsEachSubcommandsOwnFlags) {
   EXPECT_EQ(alpusim("preposted --mode alpu128 --length 5 --fraction 0.5"),
             0);
   EXPECT_EQ(alpusim("fpga --cells 64 --block 8"), 0);
+}
+
+TEST(Alpusim, UnexpectedRefusesABudgetItsFloodCannotHold) {
+  // Every flood message stays unexpected until the receive is posted,
+  // so fewer slots (or pool bytes) than the flood needs would stall it.
+  EXPECT_EQ(alpusim("unexpected --length 10 --slots 4"), 2);
+  EXPECT_EQ(alpusim("unexpected --length 10 --pool-bytes 64 --bytes 32"), 2);
+  EXPECT_EQ(alpusim("unexpected --length 4 --slots 4"), 0);
+  EXPECT_EQ(alpusim("unexpected --length 10 --pool-bytes 320 --bytes 32"), 0);
+  // The other latency scenarios run under a tiny budget.
+  EXPECT_EQ(alpusim("preposted --length 10 --slots 2"), 0);
+  EXPECT_EQ(alpusim("msgrate --length 10 --slots 2"), 0);
+}
+
+TEST(Alpusim, ReportShowsTheMachineTheScenarioRan) {
+  // The scenario floods node 0's unexpected queue before the measured
+  // receive searches it, so node 0's row counts unexpected walks.
+  const std::string out = alpusim_output("unexpected --length 20 --report");
+  const std::size_t nic = out.find("--- NIC ---");
+  ASSERT_NE(nic, std::string::npos) << out;
+  const std::size_t row = out.find("\n     0 ", nic);
+  ASSERT_NE(row, std::string::npos) << out;
+  std::istringstream fields(out.substr(row, out.find('\n', row + 1) - row));
+  std::string node, rx, tx, posted_q, unexpected_q, posted_walks;
+  std::uint64_t unexpected_walks = 0;
+  fields >> node >> rx >> tx >> posted_q >> unexpected_q >> posted_walks >>
+      unexpected_walks;
+  EXPECT_EQ(node, "0");
+  EXPECT_GT(unexpected_walks, 0u) << out;
 }
 
 TEST(Report, RendersAllSectionsForAllNodes) {

@@ -406,11 +406,7 @@ int run_sweep(const common::Flags& flags) {
   }
   if (figure == 6) {
     const std::vector<std::size_t> lengths =
-        quick ? std::vector<std::size_t>{0, 1, 5, 10, 20, 35, 50, 70, 100,
-                                         150, 200, 300}
-              : std::vector<std::size_t>{0,   1,   5,   10,  20,  35,
-                                         50,  70,  100, 128, 150, 200,
-                                         256, 300, 400, 500, 600};
+        workload::fig6_queue_lengths(quick);
     struct Point {
       NicMode mode;
       std::size_t length;
@@ -869,6 +865,15 @@ int main(int argc, char** argv) {
   }
 
   const int shards = static_cast<int>(flags.get_int("shards", 1));
+  // --report renders the machine the latency scenario ran, printed after
+  // its result.
+  std::string report;
+  workload::MachineInspector inspect;
+  if (flags.get_bool("report")) {
+    inspect = [&report](mpi::Machine& m) {
+      report = workload::machine_report(m);
+    };
+  }
 
   if (scenario == "preposted") {
     workload::PrepostedParams p;
@@ -880,7 +885,7 @@ int main(int argc, char** argv) {
         static_cast<std::uint32_t>(flags.get_int("bytes", 0));
     p.iterations = static_cast<int>(flags.get_int("iterations", 1));
     p.shards = shards;
-    print_result(workload::run_preposted(p));
+    print_result(workload::run_preposted(p, inspect));
   } else if (scenario == "unexpected") {
     workload::UnexpectedParams p;
     p.mode = mode;
@@ -889,7 +894,28 @@ int main(int argc, char** argv) {
     p.message_bytes =
         static_cast<std::uint32_t>(flags.get_int("bytes", 0));
     p.shards = shards;
-    print_result(workload::run_unexpected(p));
+    // The flood is unexpected by design: every message must hold an
+    // unexpected slot and, with a finite pool, its eager payload until
+    // the receive is posted.  A smaller budget stalls the flood forever.
+    const std::uint64_t slots = system.nic.unexpected_slots;
+    const std::uint64_t pool = system.nic.eager_pool_bytes;
+    const std::uint64_t need_pool =
+        std::uint64_t{p.queue_length} * p.message_bytes;
+    if (slots > 0 && slots < p.queue_length) {
+      std::fprintf(stderr,
+                   "alpusim unexpected: --length %zu needs --slots >= %zu\n",
+                   p.queue_length, p.queue_length);
+      return 2;
+    }
+    if (pool > 0 && pool < need_pool) {
+      std::fprintf(stderr,
+                   "alpusim unexpected: --length %zu x --bytes %u needs "
+                   "--pool-bytes >= %llu\n",
+                   p.queue_length, p.message_bytes,
+                   static_cast<unsigned long long>(need_pool));
+      return 2;
+    }
+    print_result(workload::run_unexpected(p, inspect));
   } else if (scenario == "pingpong") {
     const common::TimePs t = workload::run_pingpong(
         mode, static_cast<std::uint32_t>(flags.get_int("bytes", 0)),
@@ -927,31 +953,6 @@ int main(int argc, char** argv) {
     return usage();
   }
 
-  // --report reruns the scenario with the machine kept alive for a full
-  // component dump (latency scenarios only).
-  if (flags.get_bool("report") &&
-      (scenario == "preposted" || scenario == "unexpected")) {
-    // The scenario runners tear the machine down; run a fresh machine
-    // with equivalent traffic and dump it.
-    sim::Engine engine;
-    mpi::Machine machine(engine, system);
-    sim::ProcessPool pool(engine);
-    const auto length =
-        static_cast<std::size_t>(flags.get_int("length", 0));
-    pool.spawn([](mpi::Machine& m, std::size_t n) -> sim::Process {
-      for (std::size_t i = 0; i < n; ++i) {
-        (void)m.rank(0).irecv(1, 1000, 0);
-      }
-      mpi::Request ping = m.rank(0).irecv(1, 7, 4096);
-      co_await m.rank(0).send(1, 1, 0);
-      co_await m.rank(0).wait(ping);
-    }(machine, length));
-    pool.spawn([](mpi::Machine& m) -> sim::Process {
-      co_await m.rank(1).recv(0, 1, 0);
-      co_await m.rank(1).send(0, 7, 64);
-    }(machine));
-    engine.run();
-    workload::print_machine_report(machine);
-  }
+  std::fputs(report.c_str(), stdout);
   return 0;
 }
